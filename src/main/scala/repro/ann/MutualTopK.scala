@@ -57,12 +57,14 @@ object MutualTopK {
       (if (cfg.exact) Seq.empty else Seq(col("keys") as "lkeys")): _*)
     val r = right.select((col("id") as "rid") +: (col("vec") as "rvec") +:
       (if (cfg.exact) Seq.empty else Seq(col("keys") as "rkeys")): _*)
-    val cand =
-      if (cfg.exact) l.crossJoin(r).select("lid", "rid")
+    // Exact mode scores the cross product of the vectors directly; keyed
+    // mode joins the vectors onto its deduplicated candidate ids.
+    val withVecs =
+      if (cfg.exact) l.crossJoin(r)
       else keyedCandidates(l, r)
-    val scored = cand
-      .join(l.select("lid", "lvec"), Seq("lid"))
-      .join(r.select("rid", "rvec"), Seq("rid"))
+        .join(l.select("lid", "lvec"), Seq("lid"))
+        .join(r.select("rid", "rvec"), Seq("rid"))
+    val scored = withVecs
       .withColumn("dist", VecOps.cosineDistCol(col("lvec"), col("rvec")))
       .filter(col("dist") <= m)
       .select("lid", "rid", "dist")

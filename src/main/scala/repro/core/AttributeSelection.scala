@@ -18,9 +18,10 @@ case class AttrSelection(scores: Map[String, Double], selected: Seq[String])
   *
   * For each attribute: shuffle its values across the (sampled) entities,
   * re-embed, and average the per-entity cosine distance between old and new
-  * embeddings. Attributes whose shuffled-displacement score is large carry
-  * signal the encoder responds to (titles, names); attributes whose score is
-  * small (unique IDs, ubiquitous codes) are dropped.
+  * embeddings; the |A| re-embeddings run as one stacked dataflow.
+  * Attributes whose shuffled-displacement score is large carry signal the
+  * encoder responds to (titles, names); attributes whose score is small
+  * (unique IDs, ubiquitous codes) are dropped.
   *
   * γ here thresholds the score *relative to the maximum* (score/max ≥ γ),
   * which matches the paper's "select more significant attributes based on a
@@ -67,20 +68,28 @@ object AttributeSelection {
     val w = Window.orderBy(hash(col(idCol), lit(seed.toInt)))
     val withRn = sampled.withColumn("rn", row_number().over(w)).localCheckpoint()
 
-    val scores = attrs.map { attr =>
+    // All |A| shuffled variants, tagged by attribute, are embedded in one
+    // dataflow keyed by (attr, id); joining back on the id alone keeps each
+    // attribute's rows in the order a per-attribute average would sum them.
+    val shuffled = attrs.map { attr =>
       val donor = withRn.select(((col("rn") % n) + 1) as "rn", col(attr) as "__shuffled")
-      val shuffledDf = withRn
+      withRn
         .drop(attr)
         .join(donor, Seq("rn"))
         .withColumnRenamed("__shuffled", attr)
-      val ser2 = Embedder.serialize(shuffledDf, attrs)
-      val emb2 = Embedder.embedWithWeights(ser2, idCol, "text", weights, cfg)
-      val score = base
-        .join(emb2, Seq(idCol))
-        .select(avg(VecOps.cosineDistCol(col("vec0"), col("vec"))) as "s")
-        .collect()(0).getDouble(0)
-      attr -> score
-    }.toMap
+        .select((lit(attr) as "__attr") +: col(idCol) +: attrs.map(col): _*)
+    }.reduce(_ unionByName _)
+    val ser2 = Embedder.serialize(shuffled, attrs)
+      .withColumn("__key", struct(col("__attr"), col(idCol)))
+    val emb2 = Embedder.embedWithWeights(ser2, "__key", "text", weights, cfg)
+      .select(col("__key.__attr") as "__attr", col(s"__key.$idCol") as idCol, col("vec"))
+    val scores = base
+      .join(emb2, Seq(idCol))
+      .groupBy("__attr")
+      .agg(avg(VecOps.cosineDistCol(col("vec0"), col("vec"))) as "s")
+      .collect()
+      .map(r => r.getString(0) -> r.getDouble(1))
+      .toMap
 
     val maxScore = scores.values.max
     val selected =

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.embed.VecOps
 
@@ -19,11 +19,34 @@ case class PruneConfig(eps: Double = 0.9, minPts: Int = 2)
   * entities are classified as core (≥ MinPts entities of the same tuple
   * strictly within ε, Eq. 11–12), reachable (non-core with a core entity at
   * distance ≤ ε, Eq. 13–14) or outlier (neither); outliers are removed and
-  * the survivors form the refined tuple. Expressed as explode → per-tuple
-  * self-join → groupBy, so Spark partitioning delivers the paper's
-  * tuple-level parallelism for free.
+  * the survivors form the refined tuple. Each tuple is gathered by one
+  * `groupBy(tid)` and classified by a kernel over its pairwise distances,
+  * so Spark partitioning delivers the paper's tuple-level parallelism.
   */
 object DensityPruning {
+
+  /** Algorithm 4 inside one tuple: the kind of each entity, in input order.
+    *
+    * Each pairwise `VecOps.euclideanDist` is computed once (it is symmetric
+    * bit for bit); an entity's distance to itself is computed too, and
+    * counts towards its own ε-neighbourhood when it is < ε.
+    */
+  def kindsOf(vecs: IndexedSeq[Seq[Double]], cfg: PruneConfig): IndexedSeq[String] = {
+    val n = vecs.size
+    val d = Array.ofDim[Double](n, n)
+    for (i <- 0 until n; j <- i until n) {
+      d(i)(j) = VecOps.euclideanDist(vecs(i), vecs(j))
+      d(j)(i) = d(i)(j)
+    }
+    // Eq. 11–12: core iff |{e' : dist(e,e') < ε}| ≥ MinPts (self included).
+    val core = d.map(row => row.count(_ < cfg.eps) >= cfg.minPts)
+    // Eq. 13–14: reachable iff some *core* entity lies at distance ≤ ε.
+    (0 until n).map { i =>
+      if (core(i)) "core"
+      else if ((0 until n).exists(j => core(j) && d(i)(j) <= cfg.eps)) "reachable"
+      else "outlier"
+    }
+  }
 
   /** Per-entity classification — exposed for tests and analysis.
     *
@@ -33,41 +56,16 @@ object DensityPruning {
     *         row per entity of every multi-member tuple
     */
   def classify(items: DataFrame, emb: DataFrame, cfg: PruneConfig): DataFrame = {
-    val mem = items
+    val kindsUdf = udf((ents: Seq[Row]) =>
+      ents.map(_.getLong(0)).zip(kindsOf(ents.map(_.getSeq[Double](1)).toIndexedSeq, cfg)))
+    items
       .filter(size(col("members")) >= 2)
       .select(col("id") as "tid", explode(col("members")) as "eid")
       .join(emb, Seq("eid"))
-    val x = mem.select(col("tid"), col("eid") as "e1", col("vec") as "v1")
-    val y = mem.select(col("tid"), col("eid") as "e2", col("vec") as "v2")
-    val dists = x.join(y, Seq("tid"))
-      .withColumn("dist", VecOps.euclideanDistCol(col("v1"), col("v2")))
-      .select("tid", "e1", "e2", "dist")
-
-    // Eq. 11–12: core iff |{e' : dist(e,e') < ε}| ≥ MinPts (self included).
-    val core = dists
-      .filter(col("dist") < cfg.eps)
-      .groupBy(col("tid"), col("e1") as "eid")
-      .agg(count("*") as "n")
-      .withColumn("isCore", col("n") >= cfg.minPts)
-      .select("tid", "eid", "isCore")
-
-    // Eq. 13–14: reachable iff some *core* entity lies at distance ≤ ε.
-    val coreSet = core.filter(col("isCore")).select(col("tid"), col("eid") as "e2")
-    val reach = dists
-      .filter(col("dist") <= cfg.eps)
-      .join(coreSet, Seq("tid", "e2"))
-      .select(col("tid"), col("e1") as "eid")
-      .distinct()
-      .withColumn("isReach", lit(true))
-
-    mem.select("tid", "eid")
-      .join(core, Seq("tid", "eid"), "left")
-      .join(reach, Seq("tid", "eid"), "left")
-      .withColumn("kind",
-        when(coalesce(col("isCore"), lit(false)), "core")
-          .when(coalesce(col("isReach"), lit(false)), "reachable")
-          .otherwise("outlier"))
-      .select("tid", "eid", "kind")
+      .groupBy("tid")
+      .agg(collect_list(struct(col("eid"), col("vec"))) as "ents")
+      .select(col("tid"), explode(kindsUdf(col("ents"))) as "ek")
+      .select(col("tid"), col("ek._1") as "eid", col("ek._2") as "kind")
   }
 
   /** Algorithm 4 applied to every tuple: drop outliers, keep tuples that

@@ -13,7 +13,7 @@ import repro.graph.ConnectedComponents
   *
   * @param k           mutual top-K width (paper uses k = 1)
   * @param m           distance threshold in Eq. (1)
-  * @param ann         ANN backend configuration (LSH or exact)
+  * @param ann         ANN backend configuration (signature blocking or exact)
   * @param parallel    merge independent table pairs of a hierarchy level
   *                    concurrently (MultiEM (parallel), §III-E)
   * @param parallelism max concurrent pair merges when parallel
@@ -57,11 +57,11 @@ object Merging {
     * unmatched items pass through untouched into the merged table.
     */
   def twoTableMerge(a: DataFrame, b: DataFrame, cfg: MergeConfig): DataFrame = {
+    // The mutual-pair search is the expensive part: run it once and derive
+    // edges, component labels and the matched ids from its small result.
     val pairs = MutualTopK.mutualPairs(
-      a.select("id", "vec", "keys"), b.select("id", "vec", "keys"), cfg.k, cfg.m, cfg.ann)
+      a.select("id", "vec", "keys"), b.select("id", "vec", "keys"), cfg.k, cfg.m, cfg.ann).localCheckpoint()
     val all = a.unionByName(b)
-    // Fully lazy: when no pairs match, matchedIds/matchedItems are empty and
-    // the anti-join passes every item through — no driver-side action needed.
     val edges = pairs.select(col("lid") as "src", col("rid") as "dst")
     val matchedIds = edges.select(col("src") as "id")
       .unionByName(edges.select(col("dst") as "id"))
@@ -75,7 +75,7 @@ object Merging {
         edges.select(col("src") as "id", least(col("src"), col("dst")) as "component")
           .unionByName(edges.select(col("dst") as "id", least(col("src"), col("dst")) as "component"))
           .distinct()
-      else ConnectedComponents.run(matchedIds.localCheckpoint(), edges.localCheckpoint())
+      else ConnectedComponents.run(matchedIds, edges)
     val matchedItems = all
       .join(comp, Seq("id"))
       .groupBy("component")

@@ -10,11 +10,16 @@ import org.apache.spark.sql.functions.udf
   */
 object VecOps {
 
-  /** Dot product of two equal-length vectors. */
+  /** Dot product of two equal-length vectors, summed in index order.
+    *
+    * Spark hands Scala UDFs their array arguments as `List`s, where `a(i)`
+    * costs O(i); walking both with iterators keeps the dot product O(n).
+    */
   def dot(a: Seq[Double], b: Seq[Double]): Double = {
-    var s = 0.0; var i = 0
-    val n = math.min(a.length, b.length)
-    while (i < n) { s += a(i) * b(i); i += 1 }
+    val ia = a.iterator; val ib = b.iterator
+    var s = 0.0
+    while (ia.hasNext && ib.hasNext) s += ia.next() * ib.next()
+    require(!ia.hasNext && !ib.hasNext, s"dot of vectors of unequal length ${a.length} and ${b.length}")
     s
   }
 
@@ -37,7 +42,11 @@ object VecOps {
     require(vs.nonEmpty, "meanNormalized of empty sequence")
     val dim = vs.head.length
     val acc = new Array[Double](dim)
-    vs.foreach { v => var i = 0; while (i < dim) { acc(i) += v(i); i += 1 } }
+    vs.foreach { v =>
+      require(v.length == dim, s"meanNormalized of vectors of unequal length $dim and ${v.length}")
+      val it = v.iterator; var i = 0
+      while (i < dim) { acc(i) += it.next(); i += 1 }
+    }
     var i = 0
     while (i < dim) { acc(i) /= vs.size; i += 1 }
     normalize(acc)

@@ -13,10 +13,11 @@ case class BenchDataset(ds: EmDataset, paperEntities: Long, scaleNote: String)
 
 /** Registry of the six Table III datasets at reproduction scales.
   *
-  * Geo, Music-20, Music-200 and Shopee are generated at the paper's sizes;
+  * Geo, Music-20 and Shopee are generated at the paper's sizes; Music-200,
   * Music-2000 and Person are scaled down for the single-node container
   * (DESIGN.md), overridable via env:
-  *   REPRO_MUSIC2000_SCALE (default 0.2), REPRO_PERSON_SCALE (default 0.05),
+  *   REPRO_MUSIC200_SCALE (default 0.2), REPRO_MUSIC2000_SCALE (default 0.04),
+  *   REPRO_PERSON_SCALE (default 0.015),
   *   REPRO_BENCH_FAST=1 shrinks everything ~10× for smoke runs.
   */
 object Datasets {

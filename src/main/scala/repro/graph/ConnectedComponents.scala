@@ -18,6 +18,8 @@ object ConnectedComponents {
     * @param edges    DataFrame with columns (`src`, `dst`); undirected,
     *                 self-loops and duplicates tolerated
     * @return (id, component) where component = min id in the component
+    * @throws IllegalStateException if labels still change after `maxIter`
+    *         rounds
     */
   def run(vertices: DataFrame, edges: DataFrame, maxIter: Int = 50): DataFrame = {
     val sym = edges
@@ -48,6 +50,8 @@ object ConnectedComponents {
       labels = next
       iter += 1
     }
+    if (changed > 0)
+      throw new IllegalStateException(s"connected components did not converge within $maxIter iterations")
     labels
   }
 }

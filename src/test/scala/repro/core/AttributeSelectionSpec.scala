@@ -1,7 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.embed.{EmbedConfig, Embedder, VecOps}
 
 class AttributeSelectionSpec extends SparkSpec {
 
@@ -73,5 +76,45 @@ class AttributeSelectionSpec extends SparkSpec {
     val a = AttributeSelection.select(corpus(), "eid", Seq("title", "id"), 0.5, 0.5, seed = 9L)
     val b = AttributeSelection.select(corpus(), "eid", Seq("title", "id"), 0.5, 0.5, seed = 9L)
     assert(a.scores == b.scores && a.selected == b.selected)
+  }
+
+  /** Algorithm 1 one attribute at a time, from public `Embedder` calls: the
+    * same sample, weight table, base vectors and cyclic shuffle as `select`,
+    * each variant embedded and averaged by its own dataflow.
+    */
+  private def perAttributeScores(df: DataFrame, attrs: Seq[String], ratio: Double, seed: Long): Map[String, Double] = {
+    val cfg = EmbedConfig()
+    val sampled = df.sample(withReplacement = false, ratio, seed).select((col("eid") +: attrs.map(col)): _*)
+    val n = sampled.count()
+    val ser = Embedder.serialize(sampled, attrs)
+    val weights = Embedder.featureWeights(Embedder.explodeFeatures(ser, "eid", "text", cfg), "eid", n)
+    val base = Embedder.embedWithWeights(ser, "eid", "text", weights, cfg).withColumnRenamed("vec", "vec0")
+    val withRn = sampled.withColumn("rn", row_number().over(Window.orderBy(hash(col("eid"), lit(seed.toInt)))))
+    attrs.map { attr =>
+      val donor = withRn.select(((col("rn") % n) + 1) as "rn", col(attr) as "__shuffled")
+      val shuffled = withRn.drop(attr).join(donor, Seq("rn")).withColumnRenamed("__shuffled", attr)
+      val emb = Embedder.embedWithWeights(Embedder.serialize(shuffled, attrs), "eid", "text", weights, cfg)
+      attr -> base.join(emb, Seq("eid")).select(avg(VecOps.cosineDistCol(col("vec0"), col("vec")))).first().getDouble(0)
+    }.toMap
+  }
+
+  test("one-dataflow scores equal a per-attribute reference") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(8)
+    val words = Array("river", "midnight", "golden", "shadow", "dancing", "broken", "silver", "summer")
+    // Long texts exercise maxTokens truncation of the serialized variants.
+    val df = (0 until 80).map { i =>
+      (i.toLong, Seq.fill(3)(words(rnd.nextInt(8))).mkString(" "), "zx" + rnd.nextInt(1000000),
+        Seq.fill(70)(words(rnd.nextInt(8))).mkString(" "), (1900 + rnd.nextInt(100)).toString)
+    }.toDF("eid", "title", "id", "notes", "year").cache()
+    val attrs = Seq("title", "id", "notes", "year")
+    for ((ratio, gamma) <- Seq(1.0 -> 0.5, 0.5 -> 0.3)) {
+      val sel = AttributeSelection.select(df, "eid", attrs, ratio, gamma, seed = 5L)
+      val ref = perAttributeScores(df, attrs, ratio, 5L)
+      assert(sel.scores.keySet == ref.keySet)
+      attrs.foreach(a => assert(math.abs(sel.scores(a) - ref(a)) <= 1e-12, s"$a: ${sel.scores(a)} vs ${ref(a)}"))
+      val max = ref.values.max
+      assert(sel.selected == attrs.filter(a => ref(a) >= gamma * max))
+    }
   }
 }

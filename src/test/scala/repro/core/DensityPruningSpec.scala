@@ -136,4 +136,44 @@ class DensityPruningSpec extends SparkSpec {
       "d" -> distDf,
     )
   }
+
+  test("oracle: every entity's kind matches DuckDB on random tuples with duplicates and ties at eps") {
+    // A small pool of vectors, drawn with replacement, so tuples hold exact
+    // duplicates; ε is the computed distance between pool vectors 0 and 2,
+    // so "dist == ε" rows occur; the zero vector is its own non-neighbour.
+    val pool = Seq(planar(0.0), planar(ang(0.2)), planar(ang(0.5)), planar(ang(0.9)), planar(-ang(0.3)),
+      new Array[Double](4))
+    val eps = repro.embed.VecOps.euclideanDist(pool(0).toSeq, pool(2).toSeq)
+    val tupleGen = org.scalacheck.Gen.choose(2, 7).flatMap(n =>
+      org.scalacheck.Gen.listOfN(n, org.scalacheck.Gen.choose(0, pool.size - 1)))
+    val cases = TestUtil.samples(org.scalacheck.Gen.listOfN(6, tupleGen), n = 4, seed = 21L)
+      .map(ts => Seq(0, 2, 1) +: ts) // always one tuple with a pair exactly ε apart
+    for ((tuples, minPts) <- cases.zip(Seq(2, 3, 2, 4))) {
+      var next = 0L
+      val members = tuples.map(_.map { p => next += 1; next -> p })
+      val emb = embDf(spark, members.flatten.map { case (e, p) => e -> pool(p) })
+      val items = itemsOf(members.map(_.map(_._1)))
+      val mem = items.select(col("id") as "tid", explode(col("members")) as "eid").join(emb, Seq("eid"))
+      val distDf = mem.select(col("tid"), col("eid") as "e1", col("vec") as "v1")
+        .join(mem.select(col("tid"), col("eid") as "e2", col("vec") as "v2"), Seq("tid"))
+        .withColumn("dist", repro.embed.VecOps.euclideanDistCol(col("v1"), col("v2")))
+        .select("tid", "e1", "e2", "dist")
+      assert(distDf.filter(col("dist") === eps).count() > 0)
+      val e = s"CAST('$eps' AS DOUBLE)"
+      Oracle.assertEquivalent(
+        DensityPruning.classify(items, emb, PruneConfig(eps, minPts)),
+        s"""WITH d AS (SELECT tid, e1, e2, CAST(dist AS DOUBLE) AS dist FROM dists),
+           |core AS (SELECT tid, e1 AS eid, COUNT(*) FILTER (WHERE dist < $e) >= $minPts AS is_core
+           |         FROM d GROUP BY tid, e1)
+           |SELECT c.tid, c.eid,
+           |  CASE WHEN c.is_core THEN 'core'
+           |       WHEN EXISTS (SELECT 1 FROM d JOIN core k ON d.tid = k.tid AND d.e2 = k.eid
+           |                    WHERE k.is_core AND d.tid = c.tid AND d.e1 = c.eid AND d.dist <= $e)
+           |       THEN 'reachable'
+           |       ELSE 'outlier' END AS kind
+           |FROM core c""".stripMargin,
+        "dists" -> distDf,
+      )
+    }
+  }
 }

@@ -4,7 +4,8 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.TestUtil.{planar, vecDf}
-import repro.ann.AnnConfig
+import repro.ann.{AnnConfig, MutualTopK}
+import repro.embed.VecOps
 
 class MergingSpec extends SparkSpec {
 
@@ -112,5 +113,42 @@ class MergingSpec extends SparkSpec {
     val members = out.map(_.getSeq[Long](1)).find(_.size == 4).get
     assert(members == members.sorted)
     assert(out.find(_.getSeq[Long](1).size == 4).get.getLong(0) == 1L)
+  }
+
+  /** Algorithm 3 built on the driver from separately materialised mutual
+    * pairs: union-find over the pairs, members unioned, centroid of the
+    * members' item vectors, unmatched items passed through.
+    */
+  private def referenceMerge(a: DataFrame, b: DataFrame, cfg: MergeConfig): Map[Long, (Seq[Long], Seq[Double])] = {
+    val pairs = MutualTopK.mutualPairs(a.select("id", "vec", "keys"), b.select("id", "vec", "keys"), cfg.k, cfg.m, cfg.ann)
+      .localCheckpoint().collect().map(r => (r.getLong(0), r.getLong(1)))
+    val items = a.unionByName(b).collect().map(r => r.getLong(0) -> (r.getSeq[Long](1), r.getSeq[Double](2))).toMap
+    val parent = scala.collection.mutable.Map(items.keys.map(i => i -> i).toSeq: _*)
+    def find(x: Long): Long = if (parent(x) == x) x else { val r = find(parent(x)); parent(x) = r; r }
+    pairs.foreach { case (l, r) =>
+      val (x, y) = (find(l), find(r)); if (x != y) parent(math.max(x, y)) = math.min(x, y)
+    }
+    items.keys.groupBy(find).map { case (root, ids) =>
+      val its = ids.toSeq.sorted.map(items)
+      root -> (its.flatMap(_._1).sorted, VecOps.meanNormalized(its.map(_._2)).toSeq)
+    }
+  }
+
+  test("twoTableMerge equals a merge over separately materialised mutual pairs (ties, duplicates)") {
+    // Duplicate vectors on both sides and items equidistant from two
+    // partners: tie-breaking by partner id must pick the same pairs.
+    val a = items(Seq(1L -> planar(0.0), 2L -> planar(0.0), 3L -> planar(0.2), 4L -> planar(0.5), 5L -> planar(2.0)))
+    val b = items(Seq(11L -> planar(0.1), 12L -> planar(0.1), 13L -> planar(0.0), 14L -> planar(0.35),
+      15L -> planar(0.65)))
+    for (c <- Seq(cfg, cfg.copy(k = 2), cfg.copy(k = 3, m = 0.05))) {
+      val got = Merging.twoTableMerge(a, b, c).collect()
+        .map(r => r.getLong(0) -> (r.getSeq[Long](1), r.getSeq[Double](2))).toMap
+      val ref = referenceMerge(a, b, c)
+      assert(got.keySet == ref.keySet, s"k=${c.k}")
+      got.foreach { case (id, (members, vec)) =>
+        assert(members == ref(id)._1, s"k=${c.k} item $id")
+        vec.zip(ref(id)._2).foreach { case (x, y) => assert(math.abs(x - y) <= 1e-12, s"k=${c.k} item $id") }
+      }
+    }
   }
 }

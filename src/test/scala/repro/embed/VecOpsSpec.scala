@@ -63,6 +63,40 @@ class VecOpsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](VecOps.meanNormalized(Seq.empty))
   }
 
+  test("dot and meanNormalized on List inputs equal the indexed sums bit for bit") {
+    // Spark passes UDF array arguments as Lists; the iterator walk must keep
+    // the index-order summation of the array formulation exactly.
+    val rnd = new scala.util.Random(11)
+    (0 until 20).foreach { _ =>
+      val a = Array.fill(128)(rnd.nextGaussian()); val b = Array.fill(128)(rnd.nextGaussian())
+      var ref = 0.0; var i = 0
+      while (i < a.length) { ref += a(i) * b(i); i += 1 }
+      assert(VecOps.dot(a.toList, b.toList) == ref)
+      val acc = new Array[Double](a.length)
+      i = 0
+      while (i < a.length) { acc(i) = (0.0 + a(i) + b(i)) / 2; i += 1 }
+      assert(VecOps.meanNormalized(Seq(a.toList, b.toList)).sameElements(VecOps.normalize(acc)))
+    }
+  }
+
+  test("dot of long List vectors runs in linear time") {
+    // Indexing a List is O(i), which would make this dot O(n²): ~2·10¹⁰ steps.
+    val n = 200000
+    val a = List.fill(n)(1.0)
+    val t0 = System.nanoTime()
+    assert(VecOps.dot(a, a) == n.toDouble)
+    assert((System.nanoTime() - t0) / 1e9 < 5.0)
+  }
+
+  test("dot rejects vectors of unequal length instead of truncating") {
+    intercept[IllegalArgumentException](VecOps.dot(Seq(1.0, 0.0), Seq(1.0, 0.0, 0.0)))
+    intercept[IllegalArgumentException](VecOps.cosineDist(Seq(1.0, 0.0, 0.0), Seq(1.0)))
+  }
+
+  test("meanNormalized rejects vectors of unequal length") {
+    intercept[IllegalArgumentException](VecOps.meanNormalized(Seq(Seq(1.0, 0.0), Seq(1.0, 0.0, 0.0))))
+  }
+
   private val unitVecGen: Gen[Seq[Double]] =
     Gen.choose(2, 8).flatMap { d =>
       Gen.listOfN(d, Gen.choose(-1.0, 1.0)).map { xs =>

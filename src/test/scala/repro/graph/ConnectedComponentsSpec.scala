@@ -74,6 +74,16 @@ class ConnectedComponentsSpec extends SparkSpec {
     assert(c.values.toSet == Set(4L))
   }
 
+  test("fails loudly when labels still change after maxIter") {
+    // The min label needs 9 rounds to reach the far end of a 10-vertex path.
+    val vs = 1L to 10L
+    val es = vs.sliding(2).map(w => (w(0), w(1))).toSeq
+    val e = intercept[IllegalStateException](ConnectedComponents.run(verts(vs), edges(es), maxIter = 3))
+    assert(e.getMessage.contains("3 iterations"))
+    assert(ConnectedComponents.run(verts(vs), edges(es), maxIter = 10)
+      .collect().map(_.getLong(1)).toSet == Set(1L))
+  }
+
   test("property: matches union-find on random graphs") {
     val caseGen = for {
       n <- Gen.choose(2, 14)
