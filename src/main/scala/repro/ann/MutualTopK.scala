@@ -1,6 +1,6 @@
 package repro.ann
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.embed.VecOps
@@ -22,22 +22,22 @@ case class AnnConfig(
     rareDf: Long = 30L,
 )
 
-/** Mutual top-K neighbor search between two embedded tables, Eq. (1):
+/** Mutual top-K neighbor search, Eq. (1):
   *
   *   P_m = { (e, e') | e ∈ topK(e') ∧ e' ∈ topK(e) ∧ dist(e, e') ≤ m }
   *
   * Candidates (cross join or key-block join) are scored with exact cosine
   * distance and filtered by two window ranks — one per direction — which
-  * realises the mutual-top-K semantics as pure DataFrame ops.
+  * realises the mutual-top-K semantics as pure DataFrame ops. One search
+  * serves two entries:
+  *  - `mutualPairs`: between two embedded tables (Algorithm 3's merge step,
+  *    the two-table matchers);
+  *  - `mutualPairsBySource`: between every pair of sources of one tagged
+  *    frame in a single dataflow (the pairwise extension, Fig. 2a), with
+  *    each entity ranked per partner source — the per-table-pair result for
+  *    all C(S,2) pairs at once.
   */
 object MutualTopK {
-
-  /** Candidate (lid, rid) pairs via blocking-key equi-join, deduplicated. */
-  private def keyedCandidates(left: DataFrame, right: DataFrame): DataFrame = {
-    val lk = left.select(col("lid"), explode(col("lkeys")) as "key")
-    val rk = right.select(col("rid"), explode(col("rkeys")) as "key")
-    lk.join(rk, Seq("key")).select("lid", "rid").distinct()
-  }
 
   /** Mutual top-K pairs with distance ≤ m.
     *
@@ -52,26 +52,57 @@ object MutualTopK {
       k: Int,
       m: Double,
       cfg: AnnConfig = AnnConfig(exact = true),
+  ): DataFrame = search(left, right, bySource = false, k, m, cfg)
+
+  /** Mutual top-K pairs with distance ≤ m between every two sources of one
+    * frame; each entity keeps its top k per partner source.
+    *
+    * @param items (id, source, vec[, keys]) — all entities tagged with their
+    *              source; `keys` required when `cfg.exact` is false
+    * @return (lid, rid, dist) with source(lid) < source(rid)
+    */
+  def mutualPairsBySource(items: DataFrame, k: Int, m: Double, cfg: AnnConfig): DataFrame =
+    search(items, items, bySource = true, k, m, cfg)
+
+  private def search(
+      left: DataFrame,
+      right: DataFrame,
+      bySource: Boolean,
+      k: Int,
+      m: Double,
+      cfg: AnnConfig,
   ): DataFrame = {
-    val l = left.select((col("id") as "lid") +: (col("vec") as "lvec") +:
-      (if (cfg.exact) Seq.empty else Seq(col("keys") as "lkeys")): _*)
-    val r = right.select((col("id") as "rid") +: (col("vec") as "rvec") +:
-      (if (cfg.exact) Seq.empty else Seq(col("keys") as "rkeys")): _*)
+    // Source columns exist only in the by-source search.
+    def src(c: String): Seq[Column] = if (bySource) Seq(col(c)) else Seq.empty
+    def side(df: DataFrame, p: String): DataFrame =
+      df.select(Seq(col("id") as s"${p}id", col("vec") as s"${p}vec") ++
+        (if (cfg.exact) Seq.empty else Seq(col("keys") as s"${p}keys")) ++
+        (if (bySource) Seq(col("source") as s"${p}src") else Seq.empty): _*)
+    val l = side(left, "l")
+    val r = side(right, "r")
+    val ordered = col("lsrc") < col("rsrc")
     // Exact mode scores the cross product of the vectors directly; keyed
-    // mode joins the vectors onto its deduplicated candidate ids.
+    // mode equi-joins exploded blocking keys and joins the vectors onto the
+    // deduplicated candidate ids.
     val withVecs =
-      if (cfg.exact) l.crossJoin(r)
-      else keyedCandidates(l, r)
-        .join(l.select("lid", "lvec"), Seq("lid"))
-        .join(r.select("rid", "rvec"), Seq("rid"))
+      if (cfg.exact) { if (bySource) l.join(r, ordered) else l.crossJoin(r) }
+      else {
+        val lk = l.select(col("lid") +: src("lsrc") :+ (explode(col("lkeys")) as "key"): _*)
+        val rk = r.select(col("rid") +: src("rsrc") :+ (explode(col("rkeys")) as "key"): _*)
+        val joined = lk.join(rk, Seq("key"))
+        (if (bySource) joined.filter(ordered) else joined).select("lid", "rid").distinct()
+          .join(l.drop("lkeys"), Seq("lid"))
+          .join(r.drop("rkeys"), Seq("rid"))
+      }
     val scored = withVecs
       .withColumn("dist", VecOps.cosineDistCol(col("lvec"), col("rvec")))
       .filter(col("dist") <= m)
-      .select("lid", "rid", "dist")
-    // Rank candidates in both directions; mutual top-K keeps pairs ranked
-    // ≤ k on each side (ties broken by the partner id for determinism).
-    val wl = Window.partitionBy("lid").orderBy(col("dist"), col("rid"))
-    val wr = Window.partitionBy("rid").orderBy(col("dist"), col("lid"))
+      .select(Seq(col("lid"), col("rid"), col("dist")) ++ src("lsrc") ++ src("rsrc"): _*)
+    // Rank candidates in both directions (per partner source when by
+    // source); mutual top-K keeps pairs ranked ≤ k on each side (ties broken
+    // by the partner id for determinism).
+    val wl = Window.partitionBy(col("lid") +: src("rsrc"): _*).orderBy(col("dist"), col("rid"))
+    val wr = Window.partitionBy(col("rid") +: src("lsrc"): _*).orderBy(col("dist"), col("lid"))
     scored
       .withColumn("rl", row_number().over(wl))
       .withColumn("rr", row_number().over(wr))

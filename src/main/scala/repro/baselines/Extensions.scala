@@ -1,10 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.ann.AnnConfig
-import repro.embed.VecOps
 
 /** The two multi-table extensions of two-table EM methods the paper
   * evaluates (Fig. 2a / 2c): pairwise matching over all table pairs and
@@ -46,42 +43,5 @@ object Extensions {
     allPairs
       .map(_.distinct())
       .getOrElse(tables.head.sparkSession.emptyDataFrame.select(lit(0L) as "a", lit(0L) as "b").limit(0))
-  }
-
-  /** Bulk formulation of pairwise candidate generation: one dataflow over
-    * all C(S,2) source pairs instead of C(S,2) separate jobs (essential for
-    * Shopee's 20 sources). Semantics per source pair are identical to
-    * `Candidates.mutual` — mutual top-K with dist ≤ m, ranked within each
-    * (source-pair, entity) window; an equality test covers this.
-    *
-    * @param items (id, source, vec[, keys]) — all entities tagged with
-    *              their source; `keys` required when `ann.exact` is false
-    * @return (a, b, dist) with source(a) < source(b)
-    */
-  def bulkMutualCandidates(items: DataFrame, k: Int, m: Double, ann: AnnConfig): DataFrame = {
-    val l = items.select(col("id") as "a", col("source") as "sa", col("vec") as "va")
-    val r = items.select(col("id") as "b", col("source") as "sb", col("vec") as "vb")
-    val cand =
-      if (ann.exact) {
-        l.join(r, col("sa") < col("sb"))
-      } else {
-        val lk = items.select(col("id") as "a", col("source") as "sa", explode(col("keys")) as "key")
-        val rk = items.select(col("id") as "b", col("source") as "sb", explode(col("keys")) as "key")
-        lk.join(rk, Seq("key")).filter(col("sa") < col("sb"))
-          .select("a", "sa", "b", "sb").distinct()
-          .join(l.select("a", "va"), Seq("a"))
-          .join(r.select("b", "vb"), Seq("b"))
-      }
-    val scored = cand
-      .withColumn("dist", VecOps.cosineDistCol(col("va"), col("vb")))
-      .filter(col("dist") <= m)
-      .select("sa", "sb", "a", "b", "dist")
-    val wl = Window.partitionBy("sa", "sb", "a").orderBy(col("dist"), col("b"))
-    val wr = Window.partitionBy("sa", "sb", "b").orderBy(col("dist"), col("a"))
-    scored
-      .withColumn("rl", row_number().over(wl))
-      .withColumn("rr", row_number().over(wr))
-      .filter(col("rl") <= k && col("rr") <= k)
-      .select("a", "b", "dist")
   }
 }

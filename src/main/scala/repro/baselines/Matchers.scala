@@ -13,15 +13,6 @@ trait PairMatcher {
   def matchPairs(left: DataFrame, right: DataFrame): DataFrame
 }
 
-/** Shared candidate generation: mutual top-K by embedding distance. */
-object Candidates {
-  def mutual(left: DataFrame, right: DataFrame, k: Int, m: Double, ann: AnnConfig): DataFrame = {
-    val cols = if (ann.exact) Seq("id", "vec") else Seq("id", "vec", "keys")
-    MutualTopK.mutualPairs(left.select(cols.map(col): _*), right.select(cols.map(col): _*), k, m, ann)
-      .select(col("lid") as "a", col("rid") as "b", col("dist"))
-  }
-}
-
 /** Plain unsupervised embedding-threshold matcher (mutual top-1, dist ≤ m) —
   * the "two-table EM" kernel the paper's complexity analysis assumes.
   */
@@ -29,7 +20,7 @@ case class EmbeddingThresholdMatcher(m: Double, ann: AnnConfig = AnnConfig(exact
     extends PairMatcher {
   val name = "EmbedThreshold"
   def matchPairs(left: DataFrame, right: DataFrame): DataFrame =
-    Candidates.mutual(left, right, k, m, ann).select("a", "b")
+    MutualTopK.mutualPairs(left, right, k, m, ann).select(col("lid") as "a", col("rid") as "b")
 }
 
 /** AutoFuzzyJoin proxy: unsupervised, precision-first. Candidates are mutual
@@ -42,12 +33,22 @@ case class AutoFJLite(maxDist: Double = 0.9, ann: AnnConfig = AnnConfig(exact = 
     extends PairMatcher {
   val name = "AutoFJ"
   def matchPairs(left: DataFrame, right: DataFrame): DataFrame = {
-    val cand = Candidates.mutual(left, right, 1, maxDist, ann).localCheckpoint()
-    val dists = cand.select("dist").collect().map(_.getDouble(0)).sorted
-    if (dists.length < 3) return cand.filter(col("dist") <= maxDist / 2).select("a", "b")
-    val gaps = dists.sliding(2).map(w => (w(1) - w(0), (w(0) + w(1)) / 2)).toSeq
-    val threshold = gaps.maxBy(_._1)._2
-    cand.filter(col("dist") <= threshold).select("a", "b")
+    val cand = MutualTopK.mutualPairs(left, right, 1, maxDist, ann).localCheckpoint()
+    val threshold = AutoFJLite.gapThreshold(cand.select("dist").collect().map(_.getDouble(0)), maxDist)
+    cand.filter(col("dist") <= threshold).select(col("lid") as "a", col("rid") as "b")
+  }
+}
+
+object AutoFJLite {
+
+  /** The auto-programmed threshold: the midpoint of the largest gap between
+    * consecutive sorted candidate distances, or `maxDist / 2` with under 3
+    * candidates.
+    */
+  def gapThreshold(dists: Seq[Double], maxDist: Double): Double = {
+    val sorted = dists.sorted
+    if (sorted.length < 3) maxDist / 2
+    else sorted.sliding(2).map(w => (w(1) - w(0), (w(0) + w(1)) / 2)).maxBy(_._1)._2
   }
 }
 
@@ -66,7 +67,8 @@ case class SupervisedMatcher(
 ) extends PairMatcher {
 
   def matchPairs(left: DataFrame, right: DataFrame): DataFrame = {
-    val cand = Candidates.mutual(left, right, 1, candMax, ann)
+    val cand = MutualTopK.mutualPairs(left, right, 1, candMax, ann)
+      .select(col("lid") as "a", col("rid") as "b", col("dist"))
     val scored =
       if (feature == "cos") cand.withColumn("score", col("dist"))
       else {

@@ -91,10 +91,18 @@ object AttributeSelection {
       .map(r => r.getString(0) -> r.getDouble(1))
       .toMap
 
+    AttrSelection(scores, selectByScore(scores, attrs, gamma))
+  }
+
+  /** The γ rule: keep the attributes (in schema order) whose score is
+    * ≥ γ · max(score); keep all when every score is ~0 (nothing to rank by);
+    * fall back to the top-1 attribute when none passes.
+    */
+  def selectByScore(scores: Map[String, Double], attrs: Seq[String], gamma: Double): Seq[String] = {
     val maxScore = scores.values.max
     val selected =
       if (maxScore <= 1e-12) attrs
       else attrs.filter(a => scores(a) >= gamma * maxScore)
-    AttrSelection(scores, if (selected.nonEmpty) selected else attrs.sortBy(a => -scores(a)).take(1))
+    if (selected.nonEmpty) selected else attrs.sortBy(a => -scores(a)).take(1)
   }
 }

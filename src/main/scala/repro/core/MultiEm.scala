@@ -55,7 +55,8 @@ object MultiEm {
 
   /** Representation phase as a reusable unit: serialize the selected
     * attributes, build the corpus weight table, embed, and (for approximate
-    * search) derive blocking keys.
+    * search) derive blocking keys. Fails on duplicate eids, which would
+    * otherwise multiply rows in every later join on eid.
     *
     * @return (eid, vec, keys)
     */
@@ -67,7 +68,11 @@ object MultiEm {
   ): DataFrame = {
     val ser = Embedder.serialize(union, attrs)
     val feats = Embedder.explodeFeatures(ser, "eid", "text", embedCfg)
-    val weights = Embedder.featureWeights(feats, "eid", union.count()).localCheckpoint()
+    val counts = union.agg(count(lit(1)), countDistinct(col("eid"))).head()
+    val (rows, eids) = (counts.getLong(0), counts.getLong(1))
+    require(rows == eids,
+      s"duplicate eids: ${rows - eids} of $rows rows repeat an eid; eids must be globally unique across tables")
+    val weights = Embedder.featureWeights(feats, "eid", rows).localCheckpoint()
     val e = Embedder.embedWithWeights(ser, "eid", "text", weights, embedCfg)
     val keys =
       if (ann.exact) e.select(col("eid"), org.apache.spark.sql.functions.array().cast("array<long>") as "keys")

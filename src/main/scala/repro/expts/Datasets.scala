@@ -54,8 +54,4 @@ object Datasets {
   /** All six, in the paper's column order. */
   def all(spark: SparkSession): Seq[BenchDataset] =
     Seq(geo(spark), music20(spark), music200(spark), music2000(spark), person(spark), shopee(spark))
-
-  /** The four "small" datasets used for the full baseline grid. */
-  def small(spark: SparkSession): Seq[BenchDataset] =
-    Seq(geo(spark), music20(spark), shopee(spark))
 }

@@ -3,7 +3,7 @@ package repro.expts
 import java.lang.management.ManagementFactory
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.ann.AnnConfig
+import repro.ann.{AnnConfig, MutualTopK}
 import repro.baselines._
 import repro.core._
 import repro.data.EmDataset
@@ -124,14 +124,9 @@ object Harness {
     val ann = annFor(entities)
     val gt = ds.gtTuples.localCheckpoint()
     val sel = AttributeSelection.select(union, "eid", ds.attrs, sampleRatio, gammaGrid.min)
-    val attrSets = gammaGrid.map { g =>
-      val max = sel.scores.values.max
-      val kept = ds.attrs.filter(a => sel.scores(a) >= g * max)
-      g -> (if (kept.nonEmpty) kept else ds.attrs.sortBy(a => -sel.scores(a)).take(1))
-    }.distinct
     var best = (Double.NegativeInfinity, Tuned(mGrid.head, epsGrid.head, gammaGrid.head))
-    for ((g, attrs) <- attrSets.distinctBy(_._2)) {
-      val embC = MultiEm.representWithKeys(union, attrs, repro.embed.EmbedConfig(), ann).localCheckpoint()
+    for ((g, attrs) <- tuneAttrSets(sel.scores, ds.attrs, gammaGrid)) {
+      val embC = MultiEm.representWithKeys(union, attrs, EmbedConfig(), ann).localCheckpoint()
       val items = ds.tables.map(t =>
         Merging.initItems(t.select(col("eid")).join(embC, Seq("eid"))).localCheckpoint())
       for (m <- mGrid) {
@@ -146,6 +141,16 @@ object Harness {
     }
     best._2
   }
+
+  /** The distinct attribute sets the γ grid selects from one set of EER
+    * scores, each paired with the first γ that gives it.
+    */
+  private[expts] def tuneAttrSets(
+      scores: Map[String, Double],
+      attrs: Seq[String],
+      gammaGrid: Seq[Double],
+  ): Seq[(Double, Seq[String])] =
+    gammaGrid.map(g => g -> AttributeSelection.selectByScore(scores, attrs, g)).distinctBy(_._2)
 
   /** All Table IV/V/VI MultiEM rows for one dataset: full, w/o EER, w/o DP,
     * and the parallel variant (timed separately).
@@ -191,23 +196,19 @@ object Harness {
     val ds = bd.ds
     val union = ds.df.localCheckpoint()
     val entities = union.count()
+    val ann = annFor(entities)
     val ((items, gtPairs), secs, _) = measure {
-      val ser = Embedder.serialize(union, ds.attrs)
-      val cfg = repro.embed.EmbedConfig()
-      val feats = Embedder.explodeFeatures(ser, "eid", "text", cfg)
-      val weights = Embedder.featureWeights(feats, "eid", entities).localCheckpoint()
-      val emb = Embedder.embedWithWeights(ser, "eid", "text", weights, cfg)
-      val keys = Embedder.blockingKeys(ser, "eid", "text", weights, cfg)
-      val it = ser.select(col("eid") as "id", col("source"), col("text"))
+      val emb = MultiEm.representWithKeys(union, ds.attrs, EmbedConfig(), ann)
+      val it = Embedder.serialize(union, ds.attrs)
+        .select(col("eid") as "id", col("source"), col("text"))
         .join(emb.withColumnRenamed("eid", "id"), Seq("id"))
-        .join(keys.withColumnRenamed("eid", "id"), Seq("id"))
         .select("id", "source", "vec", "keys", "text")
         .localCheckpoint()
       (it, Metrics.pairsOf(ds.gtTuples).localCheckpoint())
     }
     val tables = (0 until ds.nSources).map(s =>
       items.filter(col("source") === s).select("id", "vec", "keys", "text").localCheckpoint())
-    BaselinePrep(items, tables, ds.gtTuples.localCheckpoint(), gtPairs, secs, entities, annFor(entities))
+    BaselinePrep(items, tables, ds.gtTuples.localCheckpoint(), gtPairs, secs, entities, ann)
   }
 
   private def supervisedThreshold(prep: BaselinePrep, feature: String): Double = {
@@ -215,16 +216,17 @@ object Harness {
     ThresholdLearner.bestThreshold(ex)
   }
 
-  /** Bulk pairwise pairs for a threshold-style matcher. */
+  /** Pairwise pairs for a threshold-style matcher, over all source pairs in
+    * one mutual top-1 search.
+    */
   private def bulkPairwise(prep: BaselinePrep, kind: String, threshold: Double): DataFrame = {
     val candMax = if (kind == "AutoFJ") 0.9 else 1.2
-    val cand = Extensions.bulkMutualCandidates(prep.items, k = 1, m = candMax, prep.ann).localCheckpoint()
+    val cand = MutualTopK.mutualPairsBySource(prep.items, k = 1, m = candMax, prep.ann)
+      .select(col("lid") as "a", col("rid") as "b", col("dist"))
+      .localCheckpoint()
     kind match {
       case "AutoFJ" =>
-        val dists = cand.select("dist").collect().map(_.getDouble(0)).sorted
-        val th =
-          if (dists.length < 3) candMax / 2
-          else dists.sliding(2).map(w => (w(1) - w(0), (w(0) + w(1)) / 2)).maxBy(_._1)._2
+        val th = AutoFJLite.gapThreshold(cand.select("dist").collect().map(_.getDouble(0)), candMax)
         cand.filter(col("dist") <= th).select("a", "b")
       case "PromptEM" =>
         cand
@@ -270,7 +272,14 @@ object Harness {
     RunOutcome(label, dataset, Some(ts), Some(ps), Some(secs + prep.embedSeconds), Some(mem))
   }
 
-  /** ALMSER-GB proxy cell. */
+  /** ALMSER-GB proxy cell: a multi-source supervised matcher — the 5 % label
+    * budget stands in for the active-learning queries, and the
+    * learned-threshold cosine matcher over *all* table pairs stands in for
+    * the graph-boosted model (DESIGN.md substitutions). Like the original, it
+    * treats multi-table EM as pairwise matching, so its tuples come from
+    * Algorithm 5 and it inherits the transitive-conflict weakness the paper
+    * demonstrates.
+    */
   def runAlmser(prep: BaselinePrep, dataset: String): RunOutcome = {
     if (prep.entities > AlmserGate)
       return RunOutcome("ALMSER-GB", dataset, None, None, None, None, "\\")

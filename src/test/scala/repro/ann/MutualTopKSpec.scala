@@ -1,13 +1,17 @@
 package repro.ann
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.TestUtil.{planar, v, vecDf}
-import repro.embed.VecOps
+import repro.baselines.{EmbeddingThresholdMatcher, Extensions}
+import repro.core.MultiEm
+import repro.data.EmDataGen
+import repro.embed.{EmbedConfig, VecOps}
 
 class MutualTopKSpec extends SparkSpec {
 
-  private def pairsOf(df: org.apache.spark.sql.DataFrame): Set[(Long, Long)] =
+  private def pairsOf(df: DataFrame): Set[(Long, Long)] =
     df.select("lid", "rid").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
   test("mutual top-1: unique nearest neighbors match") {
@@ -130,5 +134,50 @@ class MutualTopKSpec extends SparkSpec {
     val right = vecDf(spark, pts.map { case (i, p) => (100L + i, p) })
     val out = pairsOf(MutualTopK.mutualPairs(left, right, 1, 0.1))
     assert(out == pts.map { case (i, _) => (i, 100L + i) }.toSet)
+  }
+
+  // ----------------------------------------------------------- by source --
+
+  private val byPair = EmbeddingThresholdMatcher(0.3)
+
+  private def abPairs(df: DataFrame): Set[(Long, Long)] =
+    df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+
+  test("by-source pairs equal the per-pair path (exact mode)") {
+    import spark.implicits._
+    val rows = for (s <- 0 until 3; i <- 0 until 6)
+      yield (s * 100L + i, s, planar(i * 0.45 + s * 0.015).toSeq, "")
+    val itemsDf = rows.toDF("id", "source", "vec", "text")
+    val tables = (0 until 3).map(s =>
+      itemsDf.filter(col("source") === s).select("id", "vec", "text"))
+    val perPair = abPairs(Extensions.pairwise(tables, byPair))
+    val bySource = MutualTopK.mutualPairsBySource(itemsDf, k = 1, m = 0.3, AnnConfig(exact = true))
+    assert(pairsOf(bySource) == perPair)
+  }
+
+  test("by-source pairs order sources (lid from the lower source id)") {
+    import spark.implicits._
+    val itemsDf = Seq(
+      (5L, 1, planar(0.0).toSeq, ""),
+      (3L, 0, planar(0.02).toSeq, "")).toDF("id", "source", "vec", "text")
+    val out = pairsOf(MutualTopK.mutualPairsBySource(itemsDf, 1, 0.3, AnnConfig(exact = true)))
+    assert(out == Set((3L, 5L)))
+  }
+
+  test("by-source pairs equal the per-pair path (keyed mode, generated Geo and Music-20)") {
+    val keyed = AnnConfig(exact = false)
+    for (ds <- Seq(EmDataGen.geo(spark, scale = 0.05), EmDataGen.music(spark, 60L))) {
+      // The baselines' representation step, with blocking keys.
+      val emb = MultiEm.representWithKeys(ds.df, ds.attrs, EmbedConfig(), keyed)
+      val items = ds.df.select(col("eid") as "id", col("source"))
+        .join(emb.withColumnRenamed("eid", "id"), Seq("id"))
+        .localCheckpoint()
+      val tables = (0 until ds.nSources).map(s =>
+        items.filter(col("source") === s).select("id", "vec", "keys"))
+      val perPair = abPairs(Extensions.pairwise(tables, EmbeddingThresholdMatcher(0.6, keyed)))
+      val bySource = pairsOf(MutualTopK.mutualPairsBySource(items, 1, 0.6, keyed))
+      assert(bySource.nonEmpty, ds.name)
+      assert(bySource == perPair, ds.name)
+    }
   }
 }

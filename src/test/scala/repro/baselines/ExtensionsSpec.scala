@@ -1,10 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.{SparkSpec, TestUtil}
+import repro.SparkSpec
 import repro.TestUtil.planar
-import repro.ann.AnnConfig
 
 class ExtensionsSpec extends SparkSpec {
 
@@ -49,28 +47,6 @@ class ExtensionsSpec extends SparkSpec {
     val t1 = items(Seq((1L, planar(0.0), "")))
     val t2 = items(Seq((11L, planar(1.5), "")))
     assert(pairs(Extensions.pairwise(Seq(t1, t2), matcher)).isEmpty)
-  }
-
-  test("bulk pairwise candidates equal the per-pair path (exact mode)") {
-    import spark.implicits._
-    val rnd = new scala.util.Random(11)
-    val rows = for (s <- 0 until 3; i <- 0 until 6)
-      yield (s * 100L + i, s, planar(i * 0.45 + s * 0.015).toSeq, "")
-    val itemsDf = rows.toDF("id", "source", "vec", "text")
-    val tables = (0 until 3).map(s =>
-      itemsDf.filter(col("source") === s).select("id", "vec", "text"))
-    val perPair = pairs(Extensions.pairwise(tables, matcher))
-    val bulk = Extensions.bulkMutualCandidates(itemsDf, k = 1, m = 0.3, AnnConfig(exact = true))
-    assert(pairs(bulk.select("a", "b")) == perPair)
-  }
-
-  test("bulk candidates order sources (a from the lower source id)") {
-    import spark.implicits._
-    val itemsDf = Seq(
-      (5L, 1, planar(0.0).toSeq, ""),
-      (3L, 0, planar(0.02).toSeq, "")).toDF("id", "source", "vec", "text")
-    val out = pairs(Extensions.bulkMutualCandidates(itemsDf, 1, 0.3, AnnConfig(exact = true)).select("a", "b"))
-    assert(out == Set((3L, 5L)))
   }
 
   test("chain pair count never exceeds pairwise pair count on shared data") {

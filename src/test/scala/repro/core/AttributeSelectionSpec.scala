@@ -117,4 +117,22 @@ class AttributeSelectionSpec extends SparkSpec {
       assert(sel.selected == attrs.filter(a => ref(a) >= gamma * max))
     }
   }
+
+  // ---------------------------------------------------------- the γ rule --
+
+  test("selectByScore: all scores 0 keeps every attribute") {
+    val scores = Map("a" -> 0.0, "b" -> 0.0, "c" -> 0.0)
+    assert(AttributeSelection.selectByScore(scores, Seq("a", "b", "c"), 0.5) == Seq("a", "b", "c"))
+  }
+
+  test("selectByScore: a score exactly at gamma * max is kept") {
+    val scores = Map("a" -> 0.8, "b" -> 0.4, "c" -> 0.39)
+    assert(AttributeSelection.selectByScore(scores, Seq("a", "b", "c"), 0.5) == Seq("a", "b"))
+  }
+
+  test("selectByScore: when nothing passes, the top-1 attribute is kept") {
+    // γ > 1 rejects even the maximum.
+    val scores = Map("a" -> 0.2, "b" -> 0.6, "c" -> 0.4)
+    assert(AttributeSelection.selectByScore(scores, Seq("a", "b", "c"), 1.5) == Seq("b"))
+  }
 }

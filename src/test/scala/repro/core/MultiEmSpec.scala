@@ -85,4 +85,12 @@ class MultiEmSpec extends SparkSpec {
   test("pruning cannot increase the tuple count") {
     assert(result.tuples.count() <= result.tuplesWithoutPruning.count())
   }
+
+  test("duplicate eids across tables fail loudly") {
+    import spark.implicits._
+    val t0 = Seq((1L, "alpha"), (2L, "beta")).toDF("eid", "name")
+    val t1 = Seq((2L, "beta"), (3L, "gamma")).toDF("eid", "name")
+    val e = intercept[IllegalArgumentException](MultiEm.run(Seq(t0, t1), Seq("name"), cfg()))
+    assert(e.getMessage.contains("duplicate eids"), e.getMessage)
+  }
 }

@@ -145,11 +145,4 @@ class EmDataGenSpec extends SparkSpec {
     val ratio = s.entities.toDouble / s.tuples
     assert(ratio > 8 && ratio < 12, s.toString)
   }
-
-  test("SynthData delegators expose the EM datasets") {
-    assert(repro.SynthData.emGeo(spark, 0.02).name == "Geo")
-    assert(repro.SynthData.emMusic(spark, 50L).name == "Music-20")
-    assert(repro.SynthData.emPerson(spark, 0.001).name == "Person")
-    assert(repro.SynthData.emShopee(spark, 0.01).name == "Shopee")
-  }
 }

@@ -2,6 +2,8 @@ package repro.embed
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
+import repro.ann.AnnConfig
+import repro.core.MultiEm
 
 class EmbedderSpec extends SparkSpec {
 
@@ -10,7 +12,8 @@ class EmbedderSpec extends SparkSpec {
   private def embedTexts(texts: Seq[String]): Map[Long, Array[Double]] = {
     import spark.implicits._
     val df = texts.zipWithIndex.map { case (t, i) => (i.toLong, t) }.toDF("eid", "text")
-    val (emb, _) = Embedder.embed(df, "eid", "text", cfg)
+    val weights = Embedder.featureWeights(Embedder.explodeFeatures(df, "eid", "text", cfg), "eid", df.count())
+    val emb = Embedder.embedWithWeights(df, "eid", "text", weights, cfg)
     emb.collect().map(r => r.getLong(0) -> r.getSeq[Double](1).toArray).toMap
   }
 
@@ -238,7 +241,7 @@ class EmbedderSpec extends SparkSpec {
       (0L, "shared title", "noiseA"),
       (1L, "shared title", "noiseB"),
     ).toDF("eid", "title", "junk")
-    val (embTitle, _) = Embedder.represent(df, "eid", Seq("title"), cfg)
+    val embTitle = MultiEm.representWithKeys(df, Seq("title"), cfg, AnnConfig(exact = true))
     val m = embTitle.collect().map(r => r.getLong(0) -> r.getSeq[Double](1)).toMap
     assert(VecOps.cosineDist(m(0L), m(1L)) < 1e-9, "identical selected attrs ⇒ identical vectors")
   }

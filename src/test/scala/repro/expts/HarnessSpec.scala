@@ -1,6 +1,7 @@
 package repro.expts
 
 import repro.SparkSpec
+import repro.core.AttributeSelection
 import repro.data.EmDataGen
 import repro.eval.Scores
 
@@ -71,6 +72,16 @@ class HarnessSpec extends SparkSpec {
     val t = Harness.tuneMultiEm(ds, mGrid = Seq(0.3, 0.5), epsGrid = Seq(0.8), gammaGrid = Seq(0.5), sampleRatio = 1.0)
     assert(Seq(0.3, 0.5).contains(t.m))
     assert(t.eps == 0.8 && t.gamma == 0.5)
+  }
+
+  test("tuneMultiEm's attribute sets come from the single gamma rule") {
+    // max ≤ 1e-12 keeps every attribute, where a plain score ≥ γ·max cut
+    // would keep only "a".
+    val scores = Map("a" -> 1e-13, "b" -> 0.0)
+    val grid = Seq(0.3, 0.45)
+    val sets = Harness.tuneAttrSets(scores, Seq("a", "b"), grid)
+    assert(sets == Seq(0.3 -> Seq("a", "b")))
+    assert(sets.map(_._2) == grid.map(g => AttributeSelection.selectByScore(scores, Seq("a", "b"), g)).distinct)
   }
 
   test("PaperNumbers gate map mirrors Tables IV/V symbols") {
