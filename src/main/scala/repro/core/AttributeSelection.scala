@@ -18,7 +18,9 @@ case class AttrSelection(scores: Map[String, Double], selected: Seq[String])
   *
   * For each attribute: shuffle its values across the (sampled) entities,
   * re-embed, and average the per-entity cosine distance between old and new
-  * embeddings; the |A| re-embeddings run as one stacked dataflow.
+  * embeddings. The base and all |A| shuffled variants come from one
+  * self-join of the numbered sample with itself shifted by one row, are
+  * embedded in one stacked pass and are scored by one `groupBy(attr)`.
   * Attributes whose shuffled-displacement score is large carry signal the
   * encoder responds to (titles, names); attributes whose score is small
   * (unique IDs, ubiquitous codes) are dropped.
@@ -52,39 +54,33 @@ object AttributeSelection {
     val n = sampled.count()
     if (n < 2) return AttrSelection(attrs.map(_ -> 1.0).toMap, attrs)
 
-    // Baseline embeddings over ALL attributes; the corpus weight table is
-    // computed once and reused for every shuffled re-embedding (the encoder's
-    // "knowledge" must not change when values are permuted).
-    val ser = Embedder.serialize(sampled, attrs)
-    val feats = Embedder.explodeFeatures(ser, idCol, "text", cfg)
+    // The corpus weight table is computed once over the unshuffled sample and
+    // reused for every variant (the encoder's "knowledge" must not change
+    // when values are permuted).
+    val feats = Embedder.explodeFeatures(Embedder.serialize(sampled, attrs), idCol, "text", cfg)
     val weights = Embedder.featureWeights(feats, idCol, n).localCheckpoint()
-    val base = Embedder.embedWithWeights(ser, idCol, "text", weights, cfg)
-      .withColumnRenamed("vec", "vec0")
-      .localCheckpoint()
 
     // Derangement-ish shuffle: order rows by a salted hash and give each row
-    // the attribute value of its successor (cyclic shift of a pseudo-random
+    // the attribute value of its predecessor (cyclic shift of a pseudo-random
     // permutation) — a pure DataFrame formulation of "shuffle the values".
-    val w = Window.orderBy(hash(col(idCol), lit(seed.toInt)))
-    val withRn = sampled.withColumn("rn", row_number().over(w)).localCheckpoint()
-
-    // All |A| shuffled variants, tagged by attribute, are embedded in one
-    // dataflow keyed by (attr, id); joining back on the id alone keeps each
-    // attribute's rows in the order a per-attribute average would sum them.
-    val shuffled = attrs.map { attr =>
-      val donor = withRn.select(((col("rn") % n) + 1) as "rn", col(attr) as "__shuffled")
-      withRn
-        .drop(attr)
-        .join(donor, Seq("rn"))
-        .withColumnRenamed("__shuffled", attr)
-        .select((lit(attr) as "__attr") +: col(idCol) +: attrs.map(col): _*)
-    }.reduce(_ unionByName _)
-    val ser2 = Embedder.serialize(shuffled, attrs)
-      .withColumn("__key", struct(col("__attr"), col(idCol)))
-    val emb2 = Embedder.embedWithWeights(ser2, "__key", "text", weights, cfg)
+    // One self-join pairs every row with its donor; a generator then emits
+    // the base (variant "", unshuffled) and the |A| variants, each taking one
+    // attribute from the donor, and one embedding pass encodes all of them.
+    val withRn = sampled.withColumn("__rn", row_number().over(Window.orderBy(hash(col(idCol), lit(seed.toInt)))))
+    val donor = withRn.select(((col("__rn") % n) + 1) +: attrs.map(col): _*)
+      .toDF("__rn" +: attrs.map("__donor_" + _): _*)
+    val variants = ("" +: attrs).map { v =>
+      struct((lit(v) as "__attr") +: attrs.map(a => col(if (a == v) "__donor_" + a else a) as a): _*)
+    }
+    val stacked = withRn.join(donor, Seq("__rn"))
+      .select(col(idCol), explode(array(variants: _*)) as "__v")
+      .select(struct(col("__v.__attr"), col(idCol)) as "__key", col("__v.*"))
+    val emb = Embedder.embedWithWeights(Embedder.serialize(stacked, attrs), "__key", "text", weights, cfg)
       .select(col("__key.__attr") as "__attr", col(s"__key.$idCol") as idCol, col("vec"))
+      .localCheckpoint()
+    val base = emb.filter(col("__attr") === "").select(col(idCol), col("vec") as "vec0")
     val scores = base
-      .join(emb2, Seq(idCol))
+      .join(emb.filter(col("__attr") =!= ""), Seq(idCol))
       .groupBy("__attr")
       .agg(avg(VecOps.cosineDistCol(col("vec0"), col("vec"))) as "s")
       .collect()

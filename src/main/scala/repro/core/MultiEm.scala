@@ -54,11 +54,14 @@ object MultiEm {
   }
 
   /** Representation phase as a reusable unit: serialize the selected
-    * attributes, build the corpus weight table, embed, and (for approximate
-    * search) derive blocking keys. Fails on duplicate eids, which would
+    * attributes, explode their features once, and derive from that one
+    * frame the corpus weight table, the embeddings and (for approximate
+    * search) the blocking keys. Fails on duplicate eids, which would
     * otherwise multiply rows in every later join on eid.
     *
-    * @return (eid, vec, keys)
+    * @return (eid, vec, keys), one row per eid; equal to composing
+    *         `Embedder.explodeFeatures` → `featureWeights` →
+    *         `embedWithWeights` / `blockingKeys` over the same texts
     */
   def representWithKeys(
       union: DataFrame,
@@ -67,17 +70,16 @@ object MultiEm {
       ann: AnnConfig,
   ): DataFrame = {
     val ser = Embedder.serialize(union, attrs)
-    val feats = Embedder.explodeFeatures(ser, "eid", "text", embedCfg)
     val counts = union.agg(count(lit(1)), countDistinct(col("eid"))).head()
     val (rows, eids) = (counts.getLong(0), counts.getLong(1))
     require(rows == eids,
       s"duplicate eids: ${rows - eids} of $rows rows repeat an eid; eids must be globally unique across tables")
-    val weights = Embedder.featureWeights(feats, "eid", rows).localCheckpoint()
-    val e = Embedder.embedWithWeights(ser, "eid", "text", weights, embedCfg)
-    val keys =
-      if (ann.exact) e.select(col("eid"), org.apache.spark.sql.functions.array().cast("array<long>") as "keys")
-      else Embedder.blockingKeys(ser, "eid", "text", weights, embedCfg, ann.topB, ann.rareDf)
-    e.join(keys, Seq("eid"))
+    // A feature-less eid keeps one null-feature row, which the weights skip.
+    val feats = Embedder.explodeFeaturesOuter(ser, "eid", "text", embedCfg).localCheckpoint()
+    val weights = Embedder.featureWeights(feats.filter(col("feature").isNotNull), "eid", rows).localCheckpoint()
+    val e = Embedder.vectorsOf(feats, "eid", weights, embedCfg)
+    if (ann.exact) e.withColumn("keys", array().cast("array<long>"))
+    else e.join(Embedder.keysOf(feats, "eid", weights, ann.topB, ann.rareDf), Seq("eid"))
   }
 
   /** Run MultiEM over the S source tables of a dataset.

@@ -102,11 +102,16 @@ class AttributeSelectionSpec extends SparkSpec {
     import spark.implicits._
     val rnd = new scala.util.Random(8)
     val words = Array("river", "midnight", "golden", "shadow", "dancing", "broken", "silver", "summer")
-    // Long texts exercise maxTokens truncation of the serialized variants.
-    val df = (0 until 80).map { i =>
-      (i.toLong, Seq.fill(3)(words(rnd.nextInt(8))).mkString(" "), "zx" + rnd.nextInt(1000000),
-        Seq.fill(70)(words(rnd.nextInt(8))).mkString(" "), (1900 + rnd.nextInt(100)).toString)
-    }.toDF("eid", "title", "id", "notes", "year").cache()
+    // Long texts exercise maxTokens truncation of the serialized variants;
+    // null values and an all-punctuation row give the base zero vectors.
+    def unless(skip: Boolean)(v: String) = if (skip) None else Some(v)
+    val df = ((0 until 80).map { i =>
+      (i.toLong, unless(i % 9 == 4)(Seq.fill(3)(words(rnd.nextInt(8))).mkString(" ")),
+        unless(i % 7 == 2)("zx" + rnd.nextInt(1000000)),
+        unless(i % 5 == 1)(Seq.fill(70)(words(rnd.nextInt(8))).mkString(" ")),
+        unless(i % 11 == 6)((1900 + rnd.nextInt(100)).toString))
+    } ++ Seq((80L, Some("-- !!"), Some("#"), Some("..."), Some("?/?")), (81L, None, None, None, None)))
+      .toDF("eid", "title", "id", "notes", "year").cache()
     val attrs = Seq("title", "id", "notes", "year")
     for ((ratio, gamma) <- Seq(1.0 -> 0.5, 0.5 -> 0.3)) {
       val sel = AttributeSelection.select(df, "eid", attrs, ratio, gamma, seed = 5L)

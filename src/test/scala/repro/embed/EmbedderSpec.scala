@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.ann.AnnConfig
 import repro.core.MultiEm
+import repro.data.EmDataGen
 
 class EmbedderSpec extends SparkSpec {
 
@@ -204,6 +205,14 @@ class EmbedderSpec extends SparkSpec {
     val v1 = e1.find(_.getLong(0) == 0L).get.getSeq[Double](1)
     val v2 = e2(0).getSeq[Double](1)
     assert(v1 == v2)
+    // A text whose features are all absent from the table still gets a row:
+    // the zero vector.
+    val more = df.union(Seq((2L, "omega psi")).toDF("eid", "text"))
+    val e3 = Embedder.embedWithWeights(more, "eid", "text", w, cfg)
+      .collect().map(r => r.getLong(0) -> r.getSeq[Double](1)).toMap
+    assert(e3.keySet == Set(0L, 1L, 2L))
+    assert(e3(2L).length == cfg.dim && e3(2L).forall(_ == 0.0))
+    assert(e3(0L) == v1)
   }
 
   test("blockingKeys: near-duplicates share a key, unrelated entities do not") {
@@ -224,15 +233,53 @@ class EmbedderSpec extends SparkSpec {
 
   test("blockingKeys: every entity gets at least one key") {
     import spark.implicits._
-    val df = Seq((0L, "solo"), (1L, ""), (2L, "two words")).toDF("eid", "text")
-    val feats = Embedder.explodeFeatures(df, "eid", "text", cfg)
+    // eid 3 has features, but the weights come from eids 0-2 and know none
+    // of them.
+    val df = Seq((0L, "solo"), (1L, ""), (2L, "two words"), (3L, "omega psi")).toDF("eid", "text")
+    val feats = Embedder.explodeFeatures(df.filter(col("eid") < 3L), "eid", "text", cfg)
     val w = Embedder.featureWeights(feats, "eid", 3)
     val keys = Embedder.blockingKeys(df, "eid", "text", w, cfg)
       .collect().map(r => r.getLong(0) -> r.getSeq[Long](1)).toMap
-    assert(keys.size == 3)
+    assert(keys.size == 4)
     assert(keys.values.forall(_.nonEmpty))
-    // the feature-less entity's sentinel key collides with nothing
-    assert(keys(1L).toSet.intersect(keys(0L).toSet ++ keys(2L).toSet).isEmpty)
+    // the sentinel keys of the feature-less and the unweighted entity
+    // collide with nothing
+    for (id <- Seq(1L, 3L))
+      assert(keys(id).toSet.intersect((keys - id).values.flatten.toSet).isEmpty)
+  }
+
+  test("representWithKeys equals the explode → weights → embedWithWeights / blockingKeys composition") {
+    for (ds <- Seq(EmDataGen.geo(spark, scale = 0.05), EmDataGen.music(spark, 60L))) {
+      val cols = ("eid" +: ds.attrs).map(col)
+      val data = ds.df.select(cols: _*)
+      // plus one row whose attributes yield no feature
+      val blankId = data.agg(max("eid")).head().getLong(0) + 1
+      val blank = data.limit(1).select(
+        (lit(blankId) as "eid") +: ds.attrs.map(a => lit(null).cast(data.schema(a).dataType) as a): _*)
+      val union = data.unionByName(blank).localCheckpoint()
+      for (ann <- Seq(AnnConfig(exact = true), AnnConfig(exact = false))) {
+        val got = MultiEm.representWithKeys(union, ds.attrs, cfg, ann)
+          .collect().map(r => r.getLong(0) -> (r.getSeq[Double](1), r.getSeq[Long](2))).toMap
+        val ser = Embedder.serialize(union, ds.attrs)
+        val weights = Embedder.featureWeights(
+          Embedder.explodeFeatures(ser, "eid", "text", cfg), "eid", union.count()).localCheckpoint()
+        val vecs = Embedder.embedWithWeights(ser, "eid", "text", weights, cfg)
+          .collect().map(r => r.getLong(0) -> r.getSeq[Double](1)).toMap
+        val keys =
+          if (ann.exact) vecs.map { case (id, _) => id -> Seq.empty[Long] }
+          else Embedder.blockingKeys(ser, "eid", "text", weights, cfg, ann.topB, ann.rareDf)
+            .collect().map(r => r.getLong(0) -> r.getSeq[Long](1)).toMap
+        val where = s"${ds.name} exact=${ann.exact}"
+        assert(got.size == union.count() && got.keySet == vecs.keySet && got.keySet == keys.keySet, where)
+        got.foreach { case (id, (v, k)) =>
+          assert(v.map(java.lang.Double.doubleToRawLongBits) == vecs(id).map(java.lang.Double.doubleToRawLongBits),
+            s"$where: eid $id vector differs")
+          assert(k == keys(id), s"$where: eid $id keys differ")
+        }
+        assert(got(blankId)._1.forall(_ == 0.0))
+        assert(got(blankId)._2 == (if (ann.exact) Seq.empty[Long] else Seq(Long.MinValue | blankId)))
+      }
+    }
   }
 
   test("represent serializes selected attributes only") {
