@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.embed.VecOps
+import repro.graph.ConnectedComponents
 import scala.collection.mutable.ArrayBuffer
 
 /** MSCD-HAC proxy: average-linkage hierarchical agglomerative clustering
@@ -99,10 +100,8 @@ object MscdHac {
     }
 
     // Cut the dendrogram: union merges at linkage ≤ threshold.
-    val parent = Array.tabulate(n)(identity)
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); parent(x) = r; r }
-    merges.foreach { case (a, b, d) => if (d <= threshold) parent(find(b)) = find(a) }
-    Array.tabulate(n)(find)
+    val comp = ConnectedComponents.of(merges.collect { case (a, b, d) if d <= threshold => (a.toLong, b.toLong) })
+    Array.tabulate(n)(i => comp.getOrElse(i.toLong, i.toLong).toInt)
   }
 
   /** Run over an embedded entity frame (id, vec); returns predicted tuples

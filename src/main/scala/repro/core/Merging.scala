@@ -14,9 +14,12 @@ import repro.graph.ConnectedComponents
   * @param k           mutual top-K width (paper uses k = 1)
   * @param m           distance threshold in Eq. (1)
   * @param ann         ANN backend configuration (signature blocking or exact)
-  * @param parallel    merge independent table pairs of a hierarchy level
-  *                    concurrently (MultiEM (parallel), §III-E)
-  * @param parallelism max concurrent pair merges when parallel
+  * @param parallel    merge the independent table pairs of each hierarchy
+  *                    level concurrently (MultiEM (parallel), §III-E);
+  *                    otherwise they merge one after another on the
+  *                    calling thread
+  * @param parallelism driver threads of the pool that parallel mode creates
+  *                    once per `Merging.hierarchical` call
   */
 case class MergeConfig(
     k: Int = 1,
@@ -52,30 +55,21 @@ object Merging {
 
   /** Algorithm 3: merge two item tables.
     *
-    * Mutual top-K pairs (Eq. 1) become edges; connected components merge
-    * matched items by transitivity (members unioned, centroid recomputed);
-    * unmatched items pass through untouched into the merged table.
+    * Mutual top-K pairs (Eq. 1), at most k·min(|a|, |b|) of them, are
+    * collected to the driver, where a union-find labels each matched item
+    * with the minimum item id of its component (transitivity, line 8).
+    * Matched items are merged per component (members unioned, centroid
+    * recomputed, keys unioned and capped); unmatched items pass through
+    * untouched into the merged table.
     */
   def twoTableMerge(a: DataFrame, b: DataFrame, cfg: MergeConfig): DataFrame = {
-    // The mutual-pair search is the expensive part: run it once and derive
-    // edges, component labels and the matched ids from its small result.
+    val spark = a.sparkSession
+    import spark.implicits._
     val pairs = MutualTopK.mutualPairs(
-      a.select("id", "vec", "keys"), b.select("id", "vec", "keys"), cfg.k, cfg.m, cfg.ann).localCheckpoint()
+      a.select("id", "vec", "keys"), b.select("id", "vec", "keys"), cfg.k, cfg.m, cfg.ann)
+      .select("lid", "rid").collect().map(r => (r.getLong(0), r.getLong(1)))
+    val comp = ConnectedComponents.of(pairs).toSeq.toDF("id", "component")
     val all = a.unionByName(b)
-    val edges = pairs.select(col("lid") as "src", col("rid") as "dst")
-    val matchedIds = edges.select(col("src") as "id")
-      .unionByName(edges.select(col("dst") as "id"))
-      .distinct()
-    // k = 1 fast path: mutual top-1 pairs form a one-to-one matching (each
-    // item is ranked first by at most one partner per direction), so every
-    // component is a single edge — label it min(src, dst) directly instead
-    // of running the iterative CC loop.
-    val comp =
-      if (cfg.k == 1)
-        edges.select(col("src") as "id", least(col("src"), col("dst")) as "component")
-          .unionByName(edges.select(col("dst") as "id", least(col("src"), col("dst")) as "component"))
-          .distinct()
-      else ConnectedComponents.run(matchedIds, edges)
     val matchedItems = all
       .join(comp, Seq("id"))
       .groupBy("component")
@@ -87,41 +81,29 @@ object Merging {
       // component label is the min item id = min member eid, preserving the
       // id invariant for subsequent levels.
       .select(col("component") as "id", col("members"), col("vec"), col("keys"))
-    val unmatched = all.join(matchedIds, Seq("id"), "left_anti")
+    val unmatched = all.join(comp.select("id"), Seq("id"), "left_anti")
     unmatched.unionByName(matchedItems)
   }
 
-  /** Algorithm 2: binary-tree merge schedule over all tables; each level's
-    * pair merges are independent and — in parallel mode — run concurrently
-    * on the shared SparkSession (FAIR-ish via separate driver threads).
+  /** Algorithm 2: binary-tree merge schedule over all tables. Each level
+    * merges its table pairs (an odd table passes to the next level) and
+    * checkpoints the results. The pair merges of a level are independent: in
+    * parallel mode they run concurrently on the shared SparkSession, from a
+    * pool of `parallelism` driver threads created once per call; otherwise
+    * they run one after another on the calling thread.
     */
   def hierarchical(tables: Seq[DataFrame], cfg: MergeConfig): DataFrame = {
     require(tables.nonEmpty, "no tables to merge")
-    var cur = tables.toVector
-    while (cur.size > 1) {
-      val pairs: Seq[Either[(DataFrame, DataFrame), DataFrame]] =
-        cur.grouped(2).map {
-          case Seq(x, y) => Left((x, y))
-          case Seq(x)    => Right(x)
-        }.toSeq
-      cur =
-        if (!cfg.parallel) {
-          pairs.map {
-            case Left((x, y)) => twoTableMerge(x, y, cfg).localCheckpoint()
-            case Right(x)     => x
-          }.toVector
-        } else {
-          val pool = Executors.newFixedThreadPool(math.max(1, cfg.parallelism))
-          implicit val ec: ExecutionContext = ExecutionContext.fromExecutorService(pool)
-          try {
-            val futs = pairs.map {
-              case Left((x, y)) => Future { twoTableMerge(x, y, cfg).localCheckpoint() }
-              case Right(x)     => Future.successful(x)
-            }
-            Await.result(Future.sequence(futs), Duration.Inf).toVector
-          } finally pool.shutdown()
-        }
-    }
-    cur.head
+    val pool = Option.when(cfg.parallel)(Executors.newFixedThreadPool(math.max(1, cfg.parallelism)))
+    implicit val ec: ExecutionContext =
+      pool.map(ExecutionContext.fromExecutorService(_)).getOrElse(ExecutionContext.parasitic)
+    def step(g: Vector[DataFrame]): DataFrame =
+      if (g.size == 2) twoTableMerge(g(0), g(1), cfg).localCheckpoint() else g(0)
+    try {
+      var cur = tables.toVector
+      while (cur.size > 1)
+        cur = Await.result(Future.sequence(cur.grouped(2).map(g => Future(step(g)))), Duration.Inf).toVector
+      cur.head
+    } finally pool.foreach(_.shutdown())
   }
 }

@@ -94,7 +94,7 @@ object MultiEm {
 
     // Phase 1a — automated attribute selection (Algorithm 1).
     val (sel, tSel) = timed {
-      if (cfg.useEer && attrs.size > 1)
+      if (cfg.useEer)
         AttributeSelection.select(union, "eid", attrs, cfg.sampleRatio, cfg.gamma, cfg.embed, cfg.seed)
       else AttrSelection(attrs.map(_ -> 1.0).toMap, attrs)
     }

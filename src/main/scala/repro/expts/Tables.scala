@@ -139,13 +139,9 @@ object Tables {
     sb ++= "Table VII — automated selected attributes (ours vs paper)\n"
     for (bd <- Datasets.all(spark)) {
       val ds = bd.ds
-      val sel =
-        if (ds.attrs.size == 1) repro.core.AttrSelection(Map(ds.attrs.head -> 1.0), ds.attrs)
-        else {
-          val union = ds.tables.reduce(_ unionByName _)
-          val r = if (ds.df.count() > 1000000) 0.05 else 0.2
-          AttributeSelection.select(union, "eid", ds.attrs, sampleRatio = r, gamma = 0.45)
-        }
+      val union = ds.tables.reduce(_ unionByName _)
+      val r = if (ds.df.count() > 1000000) 0.05 else 0.2
+      val sel = AttributeSelection.select(union, "eid", ds.attrs, sampleRatio = r, gamma = 0.45)
       val paper = PaperNumbers.tableVII(ds.name)
       sb ++= s"${pad(ds.name, 12)} ours: ${sel.selected.mkString(", ")}\n"
       sb ++= s"${pad("", 12)} paper: ${paper._2}\n"

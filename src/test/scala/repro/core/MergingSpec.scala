@@ -98,9 +98,25 @@ class MergingSpec extends SparkSpec {
   }
 
   test("parallel mode produces the same result as sequential") {
-    val tabs = (0 until 4).map(t => items((0 until 5).map(i => (t * 10 + i).toLong -> planar(i * 0.5 + t * 0.01))))
-    val seqOut = memberSets(Merging.hierarchical(tabs, cfg))
-    val parOut = memberSets(Merging.hierarchical(tabs, cfg.copy(parallel = true, parallelism = 4)))
+    // Five keyed tables: the fifth is carried forward at the first level, and
+    // a five-way item unions 1 + 5 × 5 keys, so the 16-key cap decides which
+    // survive. Rows must agree bit for bit, keys in order.
+    import spark.implicits._
+    val tabs = (0 until 5).map { t =>
+      val rows = (0 until 5).map { i =>
+        val id = (t * 10 + i).toLong
+        (id, planar(i * 0.5 + t * 0.01).toSeq, i.toLong +: (1 to 5).map(j => 1000L * (t + 1) + 10 * i + j))
+      }
+      Merging.initItems(rows.toDF("eid", "vec", "keys"))
+    }
+    def rowsOf(df: DataFrame) = df.collect().map(r =>
+      (r.getLong(0), r.getSeq[Long](1), r.getSeq[Double](2).map(java.lang.Double.doubleToRawLongBits),
+        r.getSeq[Long](3))).sortBy(_._1).toSeq
+    val keyed = cfg.copy(ann = AnnConfig(exact = false))
+    val seqOut = rowsOf(Merging.hierarchical(tabs, keyed))
+    val parOut = rowsOf(Merging.hierarchical(tabs, keyed.copy(parallel = true, parallelism = 4)))
+    assert(seqOut.exists(_._2.size == 5))
+    assert(seqOut.exists(_._4.size == Merging.MaxKeys))
     assert(seqOut == parOut)
   }
 
