@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.ann.MutualTopK
 
 /** The two multi-table extensions of two-table EM methods the paper
   * evaluates (Fig. 2a / 2c): pairwise matching over all table pairs and
@@ -24,6 +25,16 @@ object Extensions {
     } yield matcher.matchPairs(tables(i), tables(j))
     outs.reduce(_ unionByName _).distinct()
   }
+
+  /** Pairwise matching in one search: the matcher's rule over the mutual
+    * top-1 pairs of every two sources of `items` (id, source, vec, text, and
+    * `keys` in keyed ANN mode), each entity ranked per partner source. This
+    * is `pairwise` over the per-source tables, except that a rule computed
+    * from all candidates (AutoFJ's gap threshold) sees every source pair's
+    * candidates at once. Pairs are ordered by source: a from the lower one.
+    */
+  def bySource(items: DataFrame, matcher: PairMatcher): DataFrame =
+    matcher.matchMutual(MutualTopK.mutualPairsBySource(items, 1, matcher.maxDist, matcher.ann), items, items)
 
   /** Chain matching (suffix "(c)"): match tables one by one against a base
     * table that retains the unmatched entities of every step, so the base

@@ -3,24 +3,46 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.ann.{AnnConfig, MutualTopK}
+import repro.embed.VecOps
 
 /** A two-table matcher: the unit of the pairwise / chain extensions.
-  * Input tables carry (id: Long, vec: Array[Double], text: String).
-  * Output: matched pairs (a, b) with a from the left, b from the right.
+  * Tables carry (id: Long, vec: Array[Double], text: String). A matcher's
+  * candidates are the mutual top-1 pairs with distance ≤ `maxDist`; its rule
+  * (`accept`) keeps the candidates it matches.
   */
 trait PairMatcher {
   def name: String
-  def matchPairs(left: DataFrame, right: DataFrame): DataFrame
+  def maxDist: Double
+  def ann: AnnConfig
+
+  /** The matcher's rule: the accepted rows of `cand` (a, b, dist), where `a`
+    * is an id of `left` and `b` an id of `right`. `cand` is materialised, so
+    * a rule may read it more than once.
+    */
+  def accept(cand: DataFrame, left: DataFrame, right: DataFrame): DataFrame
+
+  /** Matched pairs (a, b), a from `left` and b from `right`. */
+  def matchPairs(left: DataFrame, right: DataFrame): DataFrame =
+    matchMutual(MutualTopK.mutualPairs(left, right, 1, maxDist, ann), left, right)
+
+  /** The accepted pairs (a, b) among this matcher's candidates, given as
+    * mutual top-1 pairs (lid, rid, dist) with lid from `left`, rid from
+    * `right`.
+    */
+  private[baselines] def matchMutual(mutual: DataFrame, left: DataFrame, right: DataFrame): DataFrame =
+    accept(mutual.select(col("lid") as "a", col("rid") as "b", col("dist")).localCheckpoint(), left, right)
+      .select("a", "b")
 }
 
 /** Plain unsupervised embedding-threshold matcher (mutual top-1, dist ≤ m) —
   * the "two-table EM" kernel the paper's complexity analysis assumes.
   */
-case class EmbeddingThresholdMatcher(m: Double, ann: AnnConfig = AnnConfig(exact = true), k: Int = 1)
+case class EmbeddingThresholdMatcher(m: Double, ann: AnnConfig = AnnConfig(exact = true))
     extends PairMatcher {
   val name = "EmbedThreshold"
-  def matchPairs(left: DataFrame, right: DataFrame): DataFrame =
-    MutualTopK.mutualPairs(left, right, k, m, ann).select(col("lid") as "a", col("rid") as "b")
+  def maxDist: Double = m
+  // The candidates are already capped at m.
+  def accept(cand: DataFrame, left: DataFrame, right: DataFrame): DataFrame = cand
 }
 
 /** AutoFuzzyJoin proxy: unsupervised, precision-first. Candidates are mutual
@@ -32,10 +54,9 @@ case class EmbeddingThresholdMatcher(m: Double, ann: AnnConfig = AnnConfig(exact
 case class AutoFJLite(maxDist: Double = 0.9, ann: AnnConfig = AnnConfig(exact = true))
     extends PairMatcher {
   val name = "AutoFJ"
-  def matchPairs(left: DataFrame, right: DataFrame): DataFrame = {
-    val cand = MutualTopK.mutualPairs(left, right, 1, maxDist, ann).localCheckpoint()
+  def accept(cand: DataFrame, left: DataFrame, right: DataFrame): DataFrame = {
     val threshold = AutoFJLite.gapThreshold(cand.select("dist").collect().map(_.getDouble(0)), maxDist)
-    cand.filter(col("dist") <= threshold).select(col("lid") as "a", col("rid") as "b")
+    cand.filter(col("dist") <= threshold)
   }
 }
 
@@ -53,32 +74,20 @@ object AutoFJLite {
 }
 
 /** Supervised threshold matcher — the offline stand-in for fine-tuned-PLM
-  * matchers (DittoLite) and prompt-tuned matchers (PromptEMLite). The match
-  * score is either pure embedding cosine distance ("cos") or a 50/50 blend
-  * with token-Jaccard distance ("cos+jac"); `threshold` is learned from the
-  * 5 % labeled split by `ThresholdLearner`.
+  * matchers (DittoLite) and prompt-tuned matchers (PromptEMLite). Candidates
+  * are the mutual top-1 pairs within cosine distance 1.2; the match score is
+  * `ThresholdLearner.scored` with `feature` "cos" or "cos+jac", and
+  * `threshold` is learned from the 5 % labeled split by `ThresholdLearner`.
   */
 case class SupervisedMatcher(
     name: String,
     threshold: Double,
     feature: String = "cos",
-    candMax: Double = 1.2,
     ann: AnnConfig = AnnConfig(exact = true),
 ) extends PairMatcher {
-
-  def matchPairs(left: DataFrame, right: DataFrame): DataFrame = {
-    val cand = MutualTopK.mutualPairs(left, right, 1, candMax, ann)
-      .select(col("lid") as "a", col("rid") as "b", col("dist"))
-    val scored =
-      if (feature == "cos") cand.withColumn("score", col("dist"))
-      else {
-        cand
-          .join(left.select(col("id") as "a", col("text") as "ta"), Seq("a"))
-          .join(right.select(col("id") as "b", col("text") as "tb"), Seq("b"))
-          .withColumn("score", ThresholdLearner.blendCol(col("dist"), col("ta"), col("tb")))
-      }
-    scored.filter(col("score") <= threshold).select("a", "b")
-  }
+  val maxDist = 1.2
+  def accept(cand: DataFrame, left: DataFrame, right: DataFrame): DataFrame =
+    ThresholdLearner.scored(cand, left, right, feature).filter(col("score") <= threshold)
 }
 
 /** Learns the score threshold that maximises F1 on a labeled pair sample —
@@ -96,9 +105,18 @@ object ThresholdLearner {
 
   private val jaccardUdf = udf((a: String, b: String) => jaccardDist(a, b))
 
-  /** PromptEMLite's blended score: 0.5·cosDist + 0.5·jaccardDist. */
-  def blendCol(dist: org.apache.spark.sql.Column, ta: org.apache.spark.sql.Column, tb: org.apache.spark.sql.Column): org.apache.spark.sql.Column =
-    dist * 0.5 + jaccardUdf(ta, tb) * 0.5
+  /** The supervised match score of candidate pairs (a, b, dist): the cosine
+    * distance ("cos"), or PromptEMLite's blend 0.5·dist + 0.5·jaccardDist of
+    * the texts of a in `left` and b in `right` ("cos+jac").
+    */
+  def scored(cand: DataFrame, left: DataFrame, right: DataFrame, feature: String): DataFrame =
+    if (feature == "cos") cand.withColumn("score", col("dist"))
+    else {
+      cand
+        .join(left.select(col("id") as "a", col("text") as "ta"), Seq("a"))
+        .join(right.select(col("id") as "b", col("text") as "tb"), Seq("b"))
+        .withColumn("score", col("dist") * 0.5 + jaccardUdf(col("ta"), col("tb")) * 0.5)
+    }
 
   /** Best F1 threshold over (score, isMatch) examples: scans every candidate
     * cut between consecutive sorted scores.
@@ -151,14 +169,10 @@ object ThresholdLearner {
   }
 
   private def scoreOf(items: DataFrame, feature: String)(pairs: DataFrame, label: Boolean): Seq[(Double, Boolean)] = {
-    val l = items.select(col("id") as "a", col("vec") as "va", col("text") as "ta")
-    val r = items.select(col("id") as "b", col("vec") as "vb", col("text") as "tb")
-    val d = pairs
-      .join(l, Seq("a")).join(r, Seq("b"))
-      .withColumn("dist", repro.embed.VecOps.cosineDistCol(col("va"), col("vb")))
-    val scored =
-      if (feature == "cos") d.select(col("dist") as "score")
-      else d.select(blendCol(col("dist"), col("ta"), col("tb")) as "score")
-    scored.collect().map(row => (row.getDouble(0), label)).toSeq
+    val withDist = pairs
+      .join(items.select(col("id") as "a", col("vec") as "va"), Seq("a"))
+      .join(items.select(col("id") as "b", col("vec") as "vb"), Seq("b"))
+      .withColumn("dist", VecOps.cosineDistCol(col("va"), col("vb")))
+    scored(withDist, items, items, feature).select("score").collect().map(row => (row.getDouble(0), label)).toSeq
   }
 }

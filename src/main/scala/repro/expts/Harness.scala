@@ -3,7 +3,7 @@ package repro.expts
 import java.lang.management.ManagementFactory
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.ann.{AnnConfig, MutualTopK}
+import repro.ann.AnnConfig
 import repro.baselines._
 import repro.core._
 import repro.data.EmDataset
@@ -183,12 +183,6 @@ object Harness {
     )
   }
 
-  /** Phase-time breakdown of a full sequential run (feeds Fig. 5-style data
-    * and the EXPERIMENTS.md notes).
-    */
-  def phaseBreakdown(bd: BenchDataset, t: Tuned): Map[String, Double] =
-    MultiEm.run(bd.ds.tables, bd.ds.attrs, multiEmConfig(bd.ds.df.count(), t)).phaseSeconds
-
   // ----------------------------------------------------------- baselines --
 
   /** Embed once (all attributes — baselines have no EER) and split. */
@@ -211,65 +205,45 @@ object Harness {
     BaselinePrep(items, tables, ds.gtTuples.localCheckpoint(), gtPairs, secs, entities, ann)
   }
 
-  private def supervisedThreshold(prep: BaselinePrep, feature: String): Double = {
+  /** A supervised matcher whose threshold is learned from the 5 % labeled
+    * pair split.
+    */
+  private def supervised(prep: BaselinePrep, name: String, feature: String): SupervisedMatcher = {
     val ex = ThresholdLearner.trainExamples(prep.items, prep.gtPairs, feature, ratio = 0.05)
-    ThresholdLearner.bestThreshold(ex)
+    SupervisedMatcher(name, ThresholdLearner.bestThreshold(ex), feature, prep.ann)
   }
 
-  /** Pairwise pairs for a threshold-style matcher, over all source pairs in
-    * one mutual top-1 search.
+  /** One baseline cell: the gate symbol when `prep` has over `gate` entities;
+    * otherwise the predicted tuples, timed (plus the shared embedding time)
+    * and scored against the ground truth.
     */
-  private def bulkPairwise(prep: BaselinePrep, kind: String, threshold: Double): DataFrame = {
-    val candMax = if (kind == "AutoFJ") 0.9 else 1.2
-    val cand = MutualTopK.mutualPairsBySource(prep.items, k = 1, m = candMax, prep.ann)
-      .select(col("lid") as "a", col("rid") as "b", col("dist"))
-      .localCheckpoint()
-    kind match {
-      case "AutoFJ" =>
-        val th = AutoFJLite.gapThreshold(cand.select("dist").collect().map(_.getDouble(0)), candMax)
-        cand.filter(col("dist") <= th).select("a", "b")
-      case "PromptEM" =>
-        cand
-          .join(prep.items.select(col("id") as "a", col("text") as "ta"), Seq("a"))
-          .join(prep.items.select(col("id") as "b", col("text") as "tb"), Seq("b"))
-          .withColumn("score", ThresholdLearner.blendCol(col("dist"), col("ta"), col("tb")))
-          .filter(col("score") <= threshold)
-          .select("a", "b")
-      case _ => // Ditto and other pure-cosine matchers
-        cand.filter(col("dist") <= threshold).select("a", "b")
+  private def cell(method: String, dataset: String, prep: BaselinePrep, gate: Long, gateSym: String)(
+      predict: => DataFrame): RunOutcome =
+    if (prep.entities > gate) RunOutcome(method, dataset, None, None, None, None, gateSym)
+    else {
+      val (pred, secs, mem) = measure(predict.localCheckpoint())
+      val (ts, ps) = evalBoth(pred, prep.gt)
+      RunOutcome(method, dataset, Some(ts), Some(ps), Some(secs + prep.embedSeconds), Some(mem))
     }
-  }
 
   /** One two-table-EM baseline × extension cell: PromptEM/Ditto/AutoFJ with
-    * pairwise ("pw") or chain ("c") extension, Algorithm 5 for tuples.
+    * pairwise ("pw", one by-source search) or chain ("c") extension,
+    * Algorithm 5 for tuples.
     */
   def runTwoTableBaseline(kind: String, ext: String, prep: BaselinePrep, dataset: String): RunOutcome = {
-    val label = s"$kind (${ext})"
-    val gate = if (kind == "AutoFJ") AutoFjGate else SupervisedGate
-    val gateSym = if (kind == "AutoFJ") "-" else "\\"
-    if (prep.entities > gate) return RunOutcome(label, dataset, None, None, None, None, gateSym)
-
-    val (pred, secs, mem) = measure {
-      val pairs = ext match {
-        case "pw" =>
-          val th = kind match {
-            case "Ditto"    => supervisedThreshold(prep, "cos")
-            case "PromptEM" => supervisedThreshold(prep, "cos+jac")
-            case _          => 0.0
-          }
-          bulkPairwise(prep, kind, th)
-        case "c" =>
-          val matcher: PairMatcher = kind match {
-            case "Ditto"    => SupervisedMatcher("Ditto", supervisedThreshold(prep, "cos"), "cos", ann = prep.ann)
-            case "PromptEM" => SupervisedMatcher("PromptEM", supervisedThreshold(prep, "cos+jac"), "cos+jac", ann = prep.ann)
-            case _          => AutoFJLite(ann = prep.ann)
-          }
-          Extensions.chain(prep.tables, matcher)
+    val (gate, gateSym) = if (kind == "AutoFJ") (AutoFjGate, "-") else (SupervisedGate, "\\")
+    cell(s"$kind ($ext)", dataset, prep, gate, gateSym) {
+      val matcher: PairMatcher = kind match {
+        case "Ditto"    => supervised(prep, "Ditto", "cos")
+        case "PromptEM" => supervised(prep, "PromptEM", "cos+jac")
+        case _          => AutoFJLite(ann = prep.ann)
       }
-      Metrics.pairsToTuples(pairs).localCheckpoint()
+      val pairs = ext match {
+        case "pw" => Extensions.bySource(prep.items, matcher)
+        case "c"  => Extensions.chain(prep.tables, matcher)
+      }
+      Metrics.pairsToTuples(pairs)
     }
-    val (ts, ps) = evalBoth(pred, prep.gt)
-    RunOutcome(label, dataset, Some(ts), Some(ps), Some(secs + prep.embedSeconds), Some(mem))
   }
 
   /** ALMSER-GB proxy cell: a multi-source supervised matcher — the 5 % label
@@ -280,29 +254,16 @@ object Harness {
     * Algorithm 5 and it inherits the transitive-conflict weakness the paper
     * demonstrates.
     */
-  def runAlmser(prep: BaselinePrep, dataset: String): RunOutcome = {
-    if (prep.entities > AlmserGate)
-      return RunOutcome("ALMSER-GB", dataset, None, None, None, None, "\\")
-    val (pred, secs, mem) = measure {
-      val th = supervisedThreshold(prep, "cos")
-      val pairs = bulkPairwise(prep, "Ditto", th) // all-pairs supervised matcher
-      Metrics.pairsToTuples(pairs).localCheckpoint()
+  def runAlmser(prep: BaselinePrep, dataset: String): RunOutcome =
+    cell("ALMSER-GB", dataset, prep, AlmserGate, "\\") {
+      Metrics.pairsToTuples(Extensions.bySource(prep.items, supervised(prep, "ALMSER-GB", "cos")))
     }
-    val (ts, ps) = evalBoth(pred, prep.gt)
-    RunOutcome("ALMSER-GB", dataset, Some(ts), Some(ps), Some(secs + prep.embedSeconds), Some(mem))
-  }
 
   /** MSCD-HAC cell (driver-local agglomerative clustering, gated at 10 k). */
-  def runHac(prep: BaselinePrep, dataset: String, threshold: Double = 0.9): RunOutcome = {
-    if (prep.entities > HacGate)
-      return RunOutcome("MSCD-HAC", dataset, None, None, None, None, "\\")
-    val spark = prep.items.sparkSession
-    val (pred, secs, mem) = measure {
-      MscdHac.run(spark, prep.items, threshold).localCheckpoint()
+  def runHac(prep: BaselinePrep, dataset: String, threshold: Double = 0.9): RunOutcome =
+    cell("MSCD-HAC", dataset, prep, HacGate, "\\") {
+      MscdHac.run(prep.items.sparkSession, prep.items, threshold)
     }
-    val (ts, ps) = evalBoth(pred, prep.gt)
-    RunOutcome("MSCD-HAC", dataset, Some(ts), Some(ps), Some(secs + prep.embedSeconds), Some(mem))
-  }
 
   /** The full baseline column for one dataset (Tables IV/V/VI rows). */
   def runAllBaselines(bd: BenchDataset): Seq[RunOutcome] = {

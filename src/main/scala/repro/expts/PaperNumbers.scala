@@ -83,18 +83,4 @@ object PaperNumbers {
     "Person" -> ("givenname, surname, suburb, postcode", "givenname, surname, suburb, postcode"),
     "Shopee" -> ("title", "title"),
   )
-
-  /** Gate symbols the paper shows for infeasible (method, dataset) cells. */
-  def gate(method: String, dataset: String): Option[String] = {
-    val big = Set("Music-2000", "Person")
-    val m200 = dataset == "Music-200"
-    method match {
-      case "AutoFJ (pw)" | "AutoFJ (c)" if m200 || big(dataset) => Some("-")
-      case "PromptEM (pw)" | "Ditto (pw)" if big(dataset) => Some("-")
-      case "PromptEM (c)" | "Ditto (c)" if big(dataset) => Some("\\")
-      case "ALMSER-GB" if m200 || big(dataset) => Some("\\")
-      case "MSCD-HAC" if dataset != "Geo" => Some("\\")
-      case _ => None
-    }
-  }
 }

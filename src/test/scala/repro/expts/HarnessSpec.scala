@@ -83,12 +83,4 @@ class HarnessSpec extends SparkSpec {
     assert(sets == Seq(0.3 -> Seq("a", "b")))
     assert(sets.map(_._2) == grid.map(g => AttributeSelection.selectByScore(scores, Seq("a", "b"), g)).distinct)
   }
-
-  test("PaperNumbers gate map mirrors Tables IV/V symbols") {
-    assert(PaperNumbers.gate("MSCD-HAC", "Music-20").contains("\\"))
-    assert(PaperNumbers.gate("MSCD-HAC", "Geo").isEmpty)
-    assert(PaperNumbers.gate("AutoFJ (pw)", "Music-200").contains("-"))
-    assert(PaperNumbers.gate("PromptEM (c)", "Person").contains("\\"))
-    assert(PaperNumbers.gate("MultiEM", "Person").isEmpty)
-  }
 }

@@ -1,6 +1,7 @@
 package repro.expts
 
 import repro.SparkSpec
+import repro.core.MultiEm
 import repro.data.EmDataGen
 import repro.eval.Metrics
 
@@ -65,7 +66,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("phase breakdown reports all phases with positive total") {
-    val phases = Harness.phaseBreakdown(bd, tuned)
+    val phases = MultiEm.run(bd.ds.tables, bd.ds.attrs, Harness.multiEmConfig(bd.ds.df.count(), tuned)).phaseSeconds
     assert(phases.keySet == Set("selection", "representation", "merging", "pruning"))
     assert(phases.values.sum > 0.0)
   }
