@@ -14,24 +14,13 @@ import repro.ann.MutualTopK
   */
 object Extensions {
 
-  /** Pairwise matching (suffix "(pw)"): apply the matcher to every one of
-    * the C(S,2) table pairs and union the outputs — quadratic in S.
-    */
-  def pairwise(tables: Seq[DataFrame], matcher: PairMatcher): DataFrame = {
-    val outs = for {
-      i <- tables.indices
-      j <- tables.indices
-      if i < j
-    } yield matcher.matchPairs(tables(i), tables(j))
-    outs.reduce(_ unionByName _).distinct()
-  }
-
-  /** Pairwise matching in one search: the matcher's rule over the mutual
-    * top-1 pairs of every two sources of `items` (id, source, vec, text, and
-    * `keys` in keyed ANN mode), each entity ranked per partner source. This
-    * is `pairwise` over the per-source tables, except that a rule computed
-    * from all candidates (AutoFJ's gap threshold) sees every source pair's
-    * candidates at once. Pairs are ordered by source: a from the lower one.
+  /** Pairwise matching (suffix "(pw)") in one search: the matcher's rule
+    * over the mutual top-1 pairs of every two sources of `items` (id,
+    * source, vec, text, and `keys` in keyed ANN mode), each entity ranked per
+    * partner source. This is the matcher applied to each of the C(S,2) table
+    * pairs, outputs unioned; a rule computed from the candidates (AutoFJ's
+    * gap threshold) sees each source pair's candidates apart. Pairs are
+    * ordered by source: a from the lower one.
     */
   def bySource(items: DataFrame, matcher: PairMatcher): DataFrame =
     matcher.matchMutual(MutualTopK.mutualPairsBySource(items, 1, matcher.maxDist, matcher.ann), items, items)

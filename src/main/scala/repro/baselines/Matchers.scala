@@ -15,22 +15,25 @@ trait PairMatcher {
   def maxDist: Double
   def ann: AnnConfig
 
-  /** The matcher's rule: the accepted rows of `cand` (a, b, dist), where `a`
-    * is an id of `left` and `b` an id of `right`. `cand` is materialised, so
-    * a rule may read it more than once.
+  /** The matcher's rule: the accepted rows of `cand` (a, b, dist, sa, sb),
+    * where `a` is an id of `left` from source `sa` and `b` an id of `right`
+    * from source `sb`; a rule applies to each source pair on its own. `cand`
+    * is materialised, so a rule may read it more than once.
     */
   def accept(cand: DataFrame, left: DataFrame, right: DataFrame): DataFrame
 
   /** Matched pairs (a, b), a from `left` and b from `right`. */
   def matchPairs(left: DataFrame, right: DataFrame): DataFrame =
-    matchMutual(MutualTopK.mutualPairs(left, right, 1, maxDist, ann), left, right)
+    matchMutual(MutualTopK.mutualPairs(left, right, 1, maxDist, ann)
+      .withColumn("lsource", lit(0)).withColumn("rsource", lit(1)), left, right)
 
   /** The accepted pairs (a, b) among this matcher's candidates, given as
-    * mutual top-1 pairs (lid, rid, dist) with lid from `left`, rid from
-    * `right`.
+    * mutual top-1 pairs (lid, rid, dist, lsource, rsource) with lid from
+    * `left`, rid from `right`.
     */
   private[baselines] def matchMutual(mutual: DataFrame, left: DataFrame, right: DataFrame): DataFrame =
-    accept(mutual.select(col("lid") as "a", col("rid") as "b", col("dist")).localCheckpoint(), left, right)
+    accept(mutual.select(col("lid") as "a", col("rid") as "b", col("dist"), col("lsource") as "sa",
+      col("rsource") as "sb").localCheckpoint(), left, right)
       .select("a", "b")
 }
 
@@ -46,17 +49,21 @@ case class EmbeddingThresholdMatcher(m: Double, ann: AnnConfig = AnnConfig(exact
 }
 
 /** AutoFuzzyJoin proxy: unsupervised, precision-first. Candidates are mutual
-  * top-1 pairs under a loose cap; the match threshold is auto-programmed as
-  * the midpoint of the largest gap in the sorted candidate-distance
-  * distribution (a distribution-gap heuristic standing in for AutoFJ's
-  * precision-target threshold search). See DESIGN.md substitutions.
+  * top-1 pairs under a loose cap; the match threshold of each source pair is
+  * auto-programmed as the midpoint of the largest gap in the sorted
+  * distribution of that pair's candidate distances (a distribution-gap
+  * heuristic standing in for AutoFJ's precision-target threshold search,
+  * which runs once per table pair). See DESIGN.md substitutions.
   */
 case class AutoFJLite(maxDist: Double = 0.9, ann: AnnConfig = AnnConfig(exact = true))
     extends PairMatcher {
   val name = "AutoFJ"
   def accept(cand: DataFrame, left: DataFrame, right: DataFrame): DataFrame = {
-    val threshold = AutoFJLite.gapThreshold(cand.select("dist").collect().map(_.getDouble(0)), maxDist)
-    cand.filter(col("dist") <= threshold)
+    val thresholds = cand.select("sa", "sb", "dist").collect()
+      .groupMap(r => (r.getInt(0), r.getInt(1)))(_.getDouble(2))
+      .map { case (sources, dists) => sources -> AutoFJLite.gapThreshold(dists, maxDist) }
+    val thresholdOf = udf((sa: Int, sb: Int) => thresholds((sa, sb)))
+    cand.filter(col("dist") <= thresholdOf(col("sa"), col("sb")))
   }
 }
 

@@ -48,8 +48,11 @@ object AttributeSelection {
     require(attrs.nonEmpty, "no attributes to select from")
     if (attrs.size == 1) return AttrSelection(Map(attrs.head -> 1.0), attrs)
 
+    // Sampled on the input partitions, then gathered into the one partition
+    // the numbering window needs anyway.
     val sampled = df.sample(withReplacement = false, math.min(1.0, sampleRatio), seed)
       .select((col(idCol) +: attrs.map(col)): _*)
+      .coalesce(1)
       .localCheckpoint()
     val n = sampled.count()
     if (n < 2) return AttrSelection(attrs.map(_ -> 1.0).toMap, attrs)
@@ -58,7 +61,7 @@ object AttributeSelection {
     // reused for every variant (the encoder's "knowledge" must not change
     // when values are permuted).
     val feats = Embedder.explodeFeatures(Embedder.serialize(sampled, attrs), idCol, "text", cfg)
-    val weights = Embedder.featureWeights(feats, idCol, n).localCheckpoint()
+    val weights = Embedder.featureWeights(feats, idCol, n)
 
     // Derangement-ish shuffle: order rows by a salted hash and give each row
     // the attribute value of its predecessor (cyclic shift of a pseudo-random

@@ -1,8 +1,5 @@
 package repro.core
 
-import java.util.concurrent.Executors
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.ann.{AnnConfig, MutualTopK}
@@ -14,12 +11,12 @@ import repro.graph.ConnectedComponents
   * @param k           mutual top-K width (paper uses k = 1)
   * @param m           distance threshold in Eq. (1)
   * @param ann         ANN backend configuration (signature blocking or exact)
-  * @param parallel    merge the independent table pairs of each hierarchy
-  *                    level concurrently (MultiEM (parallel), §III-E);
-  *                    otherwise they merge one after another on the
-  *                    calling thread
-  * @param parallelism driver threads of the pool that parallel mode creates
-  *                    once per `Merging.hierarchical` call
+  * @param parallel    no effect: every hierarchy level merges all its table
+  *                    pairs in one dataflow, which is MultiEM (parallel)'s
+  *                    schedule (§III-E). Kept, with `parallelism`, only
+  *                    because the benchmark (perfbench `Main` and
+  *                    `LayeredRun`) sets and reads them
+  * @param parallelism no effect; see `parallel`
   */
 case class MergeConfig(
     k: Int = 1,
@@ -36,7 +33,8 @@ case class MergeConfig(
   * member eid, `vec` the L2-renormalised centroid of the members' entity
   * embeddings, and `keys` the union of the members' blocking keys (capped).
   * The initial tables hold one item per entity; every hierarchy level merges
-  * table pairs until one table remains.
+  * table pairs until one table remains. A level holds all its tables in one
+  * frame, each item tagged with its table index `t`.
   */
 object Merging {
 
@@ -53,57 +51,69 @@ object Merging {
     withKeys.select(col("eid") as "id", array(col("eid")) as "members", col("vec"), col("keys"))
   }
 
-  /** Algorithm 3: merge two item tables.
+  /** Algorithm 3: merge two item tables — one level of two tables. */
+  def twoTableMerge(a: DataFrame, b: DataFrame, cfg: MergeConfig): DataFrame =
+    level(tagged(Seq(a, b)), cfg).drop("t")
+
+  /** Algorithm 2: binary-tree merge schedule over all tables. */
+  def hierarchical(tables: Seq[DataFrame], cfg: MergeConfig): DataFrame = {
+    require(tables.nonEmpty, "no tables to merge")
+    hierarchicalTagged(tagged(tables), tables.size, cfg).drop("t")
+  }
+
+  /** Algorithm 2 over the items of `tables` tables in one frame, each item
+    * tagged with its table index t. Each level merges all its table pairs in
+    * one dataflow and checkpoints the result; the tables of the next level
+    * are t / 2, so an odd last table passes to it unmerged.
     *
-    * Mutual top-K pairs (Eq. 1), at most k·min(|a|, |b|) of them, are
-    * collected to the driver, where a union-find labels each matched item
-    * with the minimum item id of its component (transitivity, line 8).
-    * Matched items are merged per component (members unioned, centroid
-    * recomputed, keys unioned and capped); unmatched items pass through
-    * untouched into the merged table.
+    * @return the single merged table, still tagged (t = 0)
     */
-  def twoTableMerge(a: DataFrame, b: DataFrame, cfg: MergeConfig): DataFrame = {
-    val spark = a.sparkSession
+  private[core] def hierarchicalTagged(items: DataFrame, tables: Int, cfg: MergeConfig): DataFrame = {
+    var cur = items
+    var n = tables
+    while (n > 1) {
+      cur = level(cur, cfg).localCheckpoint()
+      n = (n + 1) / 2
+    }
+    cur
+  }
+
+  /** The items of `tables` in one frame, tagged with their table index. */
+  private def tagged(tables: Seq[DataFrame]): DataFrame =
+    tables.zipWithIndex
+      .map { case (df, t) => df.select(lit(t) as "t", col("id"), col("members"), col("vec"), col("keys")) }
+      .reduce(_ unionByName _)
+
+  /** Algorithm 3 for every table pair (2i, 2i + 1) of one level at once.
+    *
+    * Mutual top-K pairs (Eq. 1) within each table pair, at most
+    * k·min(|a|, |b|) per pair, are collected to the driver, where a
+    * union-find labels each matched item with the minimum item id of its
+    * component (transitivity, line 8); eids are unique, so no component
+    * spans two table pairs. Matched items are merged per component (members
+    * unioned, centroid recomputed, keys unioned and capped); unmatched items
+    * pass through untouched. Every item moves to table t / 2.
+    */
+  private def level(items: DataFrame, cfg: MergeConfig): DataFrame = {
+    val spark = items.sparkSession
     import spark.implicits._
-    val pairs = MutualTopK.mutualPairs(
-      a.select("id", "vec", "keys"), b.select("id", "vec", "keys"), cfg.k, cfg.m, cfg.ann)
+    val pairs = MutualTopK.mutualPairsByTablePair(items.select("t", "id", "vec", "keys"), cfg.k, cfg.m, cfg.ann)
       .select("lid", "rid").collect().map(r => (r.getLong(0), r.getLong(1)))
     val comp = ConnectedComponents.of(pairs).toSeq.toDF("id", "component")
-    val all = a.unionByName(b)
+    val all = items.withColumn("t", shiftright(col("t"), 1))
     val matchedItems = all
       .join(comp, Seq("id"))
       .groupBy("component")
       .agg(
+        min("t") as "t", // one table pair per component, so one t / 2
         sort_array(flatten(collect_list("members"))) as "members",
         VecOps.meanNormalizedCol(collect_list("vec")) as "vec",
         slice(array_distinct(flatten(collect_list("keys"))), 1, MaxKeys) as "keys",
       )
       // component label is the min item id = min member eid, preserving the
       // id invariant for subsequent levels.
-      .select(col("component") as "id", col("members"), col("vec"), col("keys"))
+      .select(col("t"), col("component") as "id", col("members"), col("vec"), col("keys"))
     val unmatched = all.join(comp.select("id"), Seq("id"), "left_anti")
     unmatched.unionByName(matchedItems)
-  }
-
-  /** Algorithm 2: binary-tree merge schedule over all tables. Each level
-    * merges its table pairs (an odd table passes to the next level) and
-    * checkpoints the results. The pair merges of a level are independent: in
-    * parallel mode they run concurrently on the shared SparkSession, from a
-    * pool of `parallelism` driver threads created once per call; otherwise
-    * they run one after another on the calling thread.
-    */
-  def hierarchical(tables: Seq[DataFrame], cfg: MergeConfig): DataFrame = {
-    require(tables.nonEmpty, "no tables to merge")
-    val pool = Option.when(cfg.parallel)(Executors.newFixedThreadPool(math.max(1, cfg.parallelism)))
-    implicit val ec: ExecutionContext =
-      pool.map(ExecutionContext.fromExecutorService(_)).getOrElse(ExecutionContext.parasitic)
-    def step(g: Vector[DataFrame]): DataFrame =
-      if (g.size == 2) twoTableMerge(g(0), g(1), cfg).localCheckpoint() else g(0)
-    try {
-      var cur = tables.toVector
-      while (cur.size > 1)
-        cur = Await.result(Future.sequence(cur.grouped(2).map(g => Future(step(g)))), Duration.Inf).toVector
-      cur.head
-    } finally pool.foreach(_.shutdown())
   }
 }

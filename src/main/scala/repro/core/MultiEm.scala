@@ -75,8 +75,13 @@ object MultiEm {
     require(rows == eids,
       s"duplicate eids: ${rows - eids} of $rows rows repeat an eid; eids must be globally unique across tables")
     // A feature-less eid keeps one null-feature row, which the weights skip.
-    val feats = Embedder.explodeFeaturesOuter(ser, "eid", "text", embedCfg).localCheckpoint()
-    val weights = Embedder.featureWeights(feats.filter(col("feature").isNotNull), "eid", rows).localCheckpoint()
+    // The union has a partition per input partition of every table; fewer
+    // partitions mean fewer tasks in every stage that reads the features.
+    val feats = Embedder.explodeFeaturesOuter(ser, "eid", "text", embedCfg)
+      .coalesce(union.sparkSession.sparkContext.defaultParallelism).localCheckpoint()
+    // Read only by the one job that materialises the embeddings (the vector
+    // and key kernels share its exchange).
+    val weights = Embedder.featureWeights(feats.filter(col("feature").isNotNull), "eid", rows)
     val e = Embedder.vectorsOf(feats, "eid", weights, embedCfg)
     if (ann.exact) e.withColumn("keys", array().cast("array<long>"))
     else e.join(Embedder.keysOf(feats, "eid", weights, ann.topB, ann.rareDf), Seq("eid"))
@@ -108,9 +113,10 @@ object MultiEm {
 
     // Phase 2 — table-wise hierarchical merging (Algorithms 2 + 3).
     val (merged, tMer) = timed {
-      val items = tables.map(t =>
-        Merging.initItems(t.select(col("eid")).join(emb, Seq("eid"))).localCheckpoint())
-      Merging.hierarchical(items, cfg.merge).localCheckpoint()
+      // Every table's items in one join: each eid tagged with its table index.
+      val tags = tables.zipWithIndex.map { case (t, i) => t.select(col("eid") as "id", lit(i) as "t") }
+      val items = Merging.initItems(emb).join(tags.reduce(_ unionByName _), Seq("id")).localCheckpoint()
+      Merging.hierarchicalTagged(items, tables.size, cfg.merge).drop("t")
     }
 
     // Phase 3 — density-based pruning (Algorithm 4), or raw merged tuples.

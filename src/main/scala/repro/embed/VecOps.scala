@@ -55,16 +55,11 @@ object VecOps {
   /** Column-level cosine distance between two vector columns. */
   def cosineDistCol(a: Column, b: Column): Column = cosineDistUdf(a, b)
 
-  /** Column-level Euclidean distance between two unit-vector columns. */
-  def euclideanDistCol(a: Column, b: Column): Column = euclideanDistUdf(a, b)
-
   /** Column-level centroid over `collect_list`-ed vectors. */
   def meanNormalizedCol(vs: Column): Column = meanUdf(vs)
 
   private val cosineDistUdf =
     udf((a: Seq[Double], b: Seq[Double]) => cosineDist(a, b))
-  private val euclideanDistUdf =
-    udf((a: Seq[Double], b: Seq[Double]) => euclideanDist(a, b))
   private val meanUdf =
     udf((vs: Seq[Seq[Double]]) => meanNormalized(vs))
 }

@@ -48,17 +48,17 @@ object Metrics {
   def tupleScores(pred: DataFrame, gt: DataFrame): Scores =
     setScores(keyed(pred), keyed(gt), Seq("key"))
 
-  /** Expand tuples to unordered entity pairs (a < b). */
-  def pairsOf(tuples: DataFrame): DataFrame = {
-    val mem = tuples
-      .withColumn("tid", monotonically_increasing_id())
-      .select(col("tid"), explode(col("members")) as "eid")
-    mem.select(col("tid"), col("eid") as "a")
-      .join(mem.select(col("tid"), col("eid") as "b"), Seq("tid"))
+  /** Expand tuples to unordered entity pairs (a < b): each sorted member
+    * list yields every later member paired with each earlier one, in place.
+    */
+  def pairsOf(tuples: DataFrame): DataFrame =
+    tuples
+      .select(sort_array(col("members")) as "m")
+      .select(explode(flatten(transform(col("m"), (a, i) =>
+        transform(slice(col("m"), i + 2, size(col("m"))), b => struct(a as "a", b as "b"))))) as "p")
+      .select("p.a", "p.b")
       .filter(col("a") < col("b"))
-      .select("a", "b")
       .distinct()
-  }
 
   /** pair-F1 (§IV-A, Example 2): P/R/F1 over the expanded pair sets. */
   def pairScores(pred: DataFrame, gt: DataFrame): Scores =

@@ -2,9 +2,9 @@ package repro.ann
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestUtil}
+import repro.{Oracle, References, SparkSpec, TestUtil}
 import repro.TestUtil.{planar, v, vecDf}
-import repro.baselines.{EmbeddingThresholdMatcher, Extensions}
+import repro.baselines.EmbeddingThresholdMatcher
 import repro.core.MultiEm
 import repro.data.EmDataGen
 import repro.embed.{EmbedConfig, VecOps}
@@ -136,6 +136,24 @@ class MutualTopKSpec extends SparkSpec {
     assert(out == pts.map { case (i, _) => (i, 100L + i) }.toSet)
   }
 
+  test("by-table-pair search equals mutualPairs on each table pair (colliding keys)") {
+    // Five tables: 0 meets 1, 2 meets 3, 4 meets none. Keys collide across
+    // all tables, and each odd table sits nearer to an even table of another
+    // pair than to its partner.
+    import spark.implicits._
+    val offset = Seq(0.0, 0.04, 0.05, 0.01, 0.02)
+    val items = (for (t <- 0 until 5; i <- 0 until 6)
+      yield (t, t * 10L + i, planar(i * 0.4 + offset(t)).toSeq, Seq(i % 3L, 100L + i)))
+      .toDF("t", "id", "vec", "keys")
+    def table(t: Int) = items.filter(col("t") === t).select("id", "vec", "keys")
+    for (ann <- Seq(AnnConfig(exact = true), AnnConfig(exact = false))) {
+      val perPair = pairsOf(MutualTopK.mutualPairs(table(0), table(1), 1, 0.3, ann)) ++
+        pairsOf(MutualTopK.mutualPairs(table(2), table(3), 1, 0.3, ann))
+      assert(perPair.size == 12, ann)
+      assert(pairsOf(MutualTopK.mutualPairsByTablePair(items, 1, 0.3, ann)) == perPair, ann)
+    }
+  }
+
   // ----------------------------------------------------------- by source --
 
   private val byPair = EmbeddingThresholdMatcher(0.3)
@@ -150,7 +168,7 @@ class MutualTopKSpec extends SparkSpec {
     val itemsDf = rows.toDF("id", "source", "vec", "text")
     val tables = (0 until 3).map(s =>
       itemsDf.filter(col("source") === s).select("id", "vec", "text"))
-    val perPair = abPairs(Extensions.pairwise(tables, byPair))
+    val perPair = abPairs(References.pairwise(tables, byPair))
     val bySource = MutualTopK.mutualPairsBySource(itemsDf, k = 1, m = 0.3, AnnConfig(exact = true))
     assert(pairsOf(bySource) == perPair)
   }
@@ -174,7 +192,7 @@ class MutualTopKSpec extends SparkSpec {
         .localCheckpoint()
       val tables = (0 until ds.nSources).map(s =>
         items.filter(col("source") === s).select("id", "vec", "keys"))
-      val perPair = abPairs(Extensions.pairwise(tables, EmbeddingThresholdMatcher(0.6, keyed)))
+      val perPair = abPairs(References.pairwise(tables, EmbeddingThresholdMatcher(0.6, keyed)))
       val bySource = pairsOf(MutualTopK.mutualPairsBySource(items, 1, 0.6, keyed))
       assert(bySource.nonEmpty, ds.name)
       assert(bySource == perPair, ds.name)

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
-import repro.SparkSpec
+import repro.{References, SparkSpec}
 import repro.TestUtil.planar
 
 class ExtensionsSpec extends SparkSpec {
@@ -29,7 +29,7 @@ class ExtensionsSpec extends SparkSpec {
     val t1 = items(Seq((1L, planar(0.00), "")))
     val t2 = items(Seq((11L, planar(0.02), "")))
     val t3 = items(Seq((21L, planar(0.04), "")))
-    val out = pairs(Extensions.pairwise(Seq(t1, t2, t3), matcher))
+    val out = pairs(References.pairwise(Seq(t1, t2, t3), matcher))
     assert(out == Set((1L, 11L), (1L, 21L), (11L, 21L)))
   }
 
@@ -53,14 +53,14 @@ class ExtensionsSpec extends SparkSpec {
   test("pairwise with no matches anywhere returns empty") {
     val t1 = items(Seq((1L, planar(0.0), "")))
     val t2 = items(Seq((11L, planar(1.5), "")))
-    assert(pairs(Extensions.pairwise(Seq(t1, t2), matcher)).isEmpty)
+    assert(pairs(References.pairwise(Seq(t1, t2), matcher)).isEmpty)
   }
 
   test("chain pair count never exceeds pairwise pair count on shared data") {
     val tabs = (0 until 4).map { s =>
       items((0 until 5).map(i => (s * 100L + i, planar(i * 0.5 + s * 0.01), "")))
     }
-    val pw = pairs(Extensions.pairwise(tabs, matcher))
+    val pw = pairs(References.pairwise(tabs, matcher))
     val ch = pairs(Extensions.chain(tabs, matcher))
     assert(ch.size <= pw.size)
     assert(ch.nonEmpty && pw.nonEmpty)
@@ -86,8 +86,10 @@ class ExtensionsSpec extends SparkSpec {
       assert(pairs(m.matchPairs(table(two, 0), table(two, 1))) == want, m.name)
     }
     val three = two.unionByName(tagged(Seq((21L, 2, 0.05, "red apple"), (22L, 2, 2.1, "green"))))
-    for (m <- Seq(EmbeddingThresholdMatcher(0.3), SupervisedMatcher("Ditto", 0.2, "cos"))) {
-      val pw = pairs(Extensions.pairwise((0 to 2).map(table(three, _)), m))
+    // AutoFJ takes its gap per source pair: pooled over all three pairs, the
+    // gap would fall at ≈ 0.042 and drop (14, 22) at ≈ 0.079.
+    for (m <- Seq(EmbeddingThresholdMatcher(0.3), SupervisedMatcher("Ditto", 0.2, "cos"), AutoFJLite())) {
+      val pw = pairs(References.pairwise((0 to 2).map(table(three, _)), m))
       assert(pw.exists(_._2 > 20L), m.name)
       assert(pairs(Extensions.bySource(three, m)) == pw, m.name)
     }

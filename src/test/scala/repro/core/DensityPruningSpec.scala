@@ -124,7 +124,7 @@ class DensityPruningSpec extends SparkSpec {
     val mem = items.select(col("id") as "tid", explode(col("members")) as "eid").join(emb, Seq("eid"))
     val distDf = mem.select(col("tid"), col("eid") as "e1", col("vec") as "v1")
       .join(mem.select(col("tid"), col("eid") as "e2", col("vec") as "v2"), Seq("tid"))
-      .withColumn("dist", repro.embed.VecOps.euclideanDistCol(col("v1"), col("v2")))
+      .withColumn("dist", repro.References.euclideanDistCol(col("v1"), col("v2")))
       .select("tid", "e1", "e2", "dist")
     val eps = 0.3
     val ours = distDf.filter(col("dist") < eps)
@@ -156,7 +156,7 @@ class DensityPruningSpec extends SparkSpec {
       val mem = items.select(col("id") as "tid", explode(col("members")) as "eid").join(emb, Seq("eid"))
       val distDf = mem.select(col("tid"), col("eid") as "e1", col("vec") as "v1")
         .join(mem.select(col("tid"), col("eid") as "e2", col("vec") as "v2"), Seq("tid"))
-        .withColumn("dist", repro.embed.VecOps.euclideanDistCol(col("v1"), col("v2")))
+        .withColumn("dist", repro.References.euclideanDistCol(col("v1"), col("v2")))
         .select("tid", "e1", "e2", "dist")
       assert(distDf.filter(col("dist") === eps).count() > 0)
       val e = s"CAST('$eps' AS DOUBLE)"

@@ -97,27 +97,50 @@ class MergingSpec extends SparkSpec {
     assert(memberSets(out) == Set(Set(1L, 2L, 3L)))
   }
 
-  test("parallel mode produces the same result as sequential") {
-    // Five keyed tables: the fifth is carried forward at the first level, and
-    // a five-way item unions 1 + 5 × 5 keys, so the 16-key cap decides which
-    // survive. Rows must agree bit for bit, keys in order.
+  /** Sets Spark SQL options for the duration of `f`, then restores them. */
+  private def withConf[T](kv: (String, String)*)(f: => T): T = {
+    val saved = kv.map { case (k, _) => k -> spark.conf.getOption(k) }
+    kv.foreach { case (k, v) => spark.conf.set(k, v) }
+    try f
+    finally saved.foreach { case (k, v) => v.fold(spark.conf.unset(k))(spark.conf.set(k, _)) }
+  }
+
+  test("hierarchical equals per-pair twoTableMerge bit for bit") {
+    // Five tables: the fifth is carried forward at the first level, and a
+    // five-way item unions 1 + 5 × 5 keys, so the 16-key cap decides which
+    // survive. Key i is shared by item i of every table, and each odd table
+    // sits nearer to an even table of another pair than to its partner, so
+    // a level search that crosses table pairs changes the result. Rows must
+    // agree bit for bit, keys in order, at any shuffle-partition count.
     import spark.implicits._
+    val offset = Seq(0.0, 0.04, 0.05, 0.01, 0.02)
     val tabs = (0 until 5).map { t =>
       val rows = (0 until 5).map { i =>
         val id = (t * 10 + i).toLong
-        (id, planar(i * 0.5 + t * 0.01).toSeq, i.toLong +: (1 to 5).map(j => 1000L * (t + 1) + 10 * i + j))
+        (id, planar(i * 0.5 + offset(t)).toSeq, i.toLong +: (1 to 5).map(j => 1000L * (t + 1) + 10 * i + j))
       }
-      Merging.initItems(rows.toDF("eid", "vec", "keys"))
+      Merging.initItems(rows.toDF("eid", "vec", "keys")).localCheckpoint()
     }
     def rowsOf(df: DataFrame) = df.collect().map(r =>
       (r.getLong(0), r.getSeq[Long](1), r.getSeq[Double](2).map(java.lang.Double.doubleToRawLongBits),
         r.getSeq[Long](3))).sortBy(_._1).toSeq
-    val keyed = cfg.copy(ann = AnnConfig(exact = false))
-    val seqOut = rowsOf(Merging.hierarchical(tabs, keyed))
-    val parOut = rowsOf(Merging.hierarchical(tabs, keyed.copy(parallel = true, parallelism = 4)))
-    assert(seqOut.exists(_._2.size == 5))
-    assert(seqOut.exists(_._4.size == Merging.MaxKeys))
-    assert(seqOut == parOut)
+    def perPair(c: MergeConfig): DataFrame = {
+      var cur = tabs.toVector
+      while (cur.size > 1)
+        cur = cur.grouped(2).map(g => if (g.size == 2) Merging.twoTableMerge(g(0), g(1), c).localCheckpoint() else g(0))
+          .toVector
+      cur.head
+    }
+    for (exact <- Seq(true, false); partitions <- Seq(1, 2, 7)) {
+      val c = cfg.copy(ann = AnnConfig(exact = exact))
+      val clue = s"exact=$exact partitions=$partitions"
+      withConf("spark.sql.shuffle.partitions" -> partitions.toString, "spark.sql.adaptive.enabled" -> "false") {
+        val want = rowsOf(perPair(c))
+        assert(want.exists(_._2.size == 5), clue)
+        assert(want.exists(_._4.size == Merging.MaxKeys), clue)
+        assert(rowsOf(Merging.hierarchical(tabs, c)) == want, clue)
+      }
+    }
   }
 
   test("members stay sorted after multi-level merges") {

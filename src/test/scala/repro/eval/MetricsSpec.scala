@@ -51,6 +51,14 @@ class MetricsSpec extends SparkSpec {
     assert(pairs.count() == 3)
   }
 
+  test("pairsOf sorts unsorted members and skips a repeated eid") {
+    import spark.implicits._
+    val pairs = Metrics.pairsOf(Seq(Seq(3L, 1L, 2L, 1L), Seq(5L, 4L)).toDF("members"))
+    assert(pairs.collect().map(r => (r.getLong(0), r.getLong(1))).toSet ==
+      Set((1L, 2L), (1L, 3L), (2L, 3L), (4L, 5L)))
+    assert(pairs.count() == 4)
+  }
+
   test("paper Example 2: t=(1,2,3) vs p=(1,2,4) gives pair-F1 = 1/3") {
     val pred = tuplesDf(spark, Seq(Seq(1L, 2L, 4L)))
     val gt = tuplesDf(spark, Seq(Seq(1L, 2L, 3L)))
