@@ -23,9 +23,21 @@ object VecOps {
     s
   }
 
+  /** `dot` over arrays: the same index-order sum, so the same bits. */
+  def dot(a: Array[Double], b: Array[Double]): Double = {
+    require(a.length == b.length, s"dot of vectors of unequal length ${a.length} and ${b.length}")
+    var s = 0.0; var i = 0
+    while (i < a.length) { s += a(i) * b(i); i += 1 }
+    s
+  }
+
   /** Cosine distance (1 - cos) for unit vectors; clamped to [0, 2]. */
-  def cosineDist(a: Seq[Double], b: Seq[Double]): Double =
-    math.min(2.0, math.max(0.0, 1.0 - dot(a, b)))
+  def cosineDist(a: Seq[Double], b: Seq[Double]): Double = distOfDot(dot(a, b))
+
+  /** `cosineDist` over arrays. */
+  def cosineDist(a: Array[Double], b: Array[Double]): Double = distOfDot(dot(a, b))
+
+  private def distOfDot(d: Double): Double = math.min(2.0, math.max(0.0, 1.0 - d))
 
   /** Euclidean distance between unit vectors, via the dot product. */
   def euclideanDist(a: Seq[Double], b: Seq[Double]): Double =

@@ -1,6 +1,7 @@
 package repro.expts
 
-import java.lang.management.ManagementFactory
+import java.lang.management.{ManagementFactory, MemoryType}
+import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.ann.AnnConfig
@@ -60,32 +61,25 @@ object Harness {
   def fmtTime(s: Double): String =
     if (s < 60) f"$s%.1fs" else if (s < 3600) f"${s / 60}%.1fm" else f"${s / 3600}%.1fh"
 
-  /** Run a thunk, returning (result, seconds, peak heap GB sampled @50 ms). */
+  /** Run a thunk, returning (result, seconds, peak heap GB).
+    *
+    * The peak is the sum of every heap memory pool's peak usage while the
+    * thunk ran (each pool's peak is reset first). The pools peak at
+    * different times, so the sum is an upper bound on the heap's true peak.
+    */
   def measure[T](f: => T): (T, Double, Double) = {
     System.gc()
-    val mx = ManagementFactory.getMemoryMXBean
-    val baseline = mx.getHeapMemoryUsage.getUsed
-    @volatile var peak = baseline
-    @volatile var stop = false
-    val sampler = new Thread(() => {
-      while (!stop) {
-        val u = mx.getHeapMemoryUsage.getUsed
-        if (u > peak) peak = u
-        Thread.sleep(50)
-      }
-    })
-    sampler.setDaemon(true)
-    sampler.start()
+    val pools = ManagementFactory.getMemoryPoolMXBeans.asScala.filter(_.getType == MemoryType.HEAP)
+    pools.foreach(_.resetPeakUsage())
     val t0 = System.nanoTime()
     val r = f
     val secs = (System.nanoTime() - t0) / 1e9
-    stop = true
-    sampler.join(500)
-    (r, secs, peak / 1e9)
+    (r, secs, pools.map(_.getPeakUsage.getUsed).sum / 1e9)
   }
 
-  /** ANN backend choice by scale: exact cross-join re-rank below ~10 k
-    * entities, blocking-key candidates above (HNSW-style approximation).
+  /** ANN backend choice by scale: exact search (every pair of a table pair
+    * scored) up to 10 k entities, blocking-key candidates above (HNSW-style
+    * approximation).
     */
   def annFor(entities: Long): AnnConfig =
     if (entities <= 10000) AnnConfig(exact = true) else AnnConfig(exact = false)

@@ -47,6 +47,14 @@ object TestUtil {
     a
   }
 
+  /** Sets Spark SQL options for the duration of `f`, then restores them. */
+  def withConf[T](spark: SparkSession, kv: (String, String)*)(f: => T): T = {
+    val saved = kv.map { case (k, _) => k -> spark.conf.getOption(k) }
+    kv.foreach { case (k, v) => spark.conf.set(k, v) }
+    try f
+    finally saved.foreach { case (k, v) => v.fold(spark.conf.unset(k))(spark.conf.set(k, _)) }
+  }
+
   /** Deterministic ScalaCheck sampling (the scalatest↔scalacheck bridge
     * artifact is not on the offline classpath, so suites draw samples
     * directly).

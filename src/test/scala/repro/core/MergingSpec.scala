@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
-import repro.TestUtil.{planar, vecDf}
+import repro.TestUtil.{planar, vecDf, withConf}
 import repro.ann.{AnnConfig, MutualTopK}
 import repro.embed.VecOps
 
@@ -97,14 +97,6 @@ class MergingSpec extends SparkSpec {
     assert(memberSets(out) == Set(Set(1L, 2L, 3L)))
   }
 
-  /** Sets Spark SQL options for the duration of `f`, then restores them. */
-  private def withConf[T](kv: (String, String)*)(f: => T): T = {
-    val saved = kv.map { case (k, _) => k -> spark.conf.getOption(k) }
-    kv.foreach { case (k, v) => spark.conf.set(k, v) }
-    try f
-    finally saved.foreach { case (k, v) => v.fold(spark.conf.unset(k))(spark.conf.set(k, _)) }
-  }
-
   test("hierarchical equals per-pair twoTableMerge bit for bit") {
     // Five tables: the fifth is carried forward at the first level, and a
     // five-way item unions 1 + 5 × 5 keys, so the 16-key cap decides which
@@ -134,7 +126,7 @@ class MergingSpec extends SparkSpec {
     for (exact <- Seq(true, false); partitions <- Seq(1, 2, 7)) {
       val c = cfg.copy(ann = AnnConfig(exact = exact))
       val clue = s"exact=$exact partitions=$partitions"
-      withConf("spark.sql.shuffle.partitions" -> partitions.toString, "spark.sql.adaptive.enabled" -> "false") {
+      withConf(spark, "spark.sql.shuffle.partitions" -> partitions.toString, "spark.sql.adaptive.enabled" -> "false") {
         val want = rowsOf(perPair(c))
         assert(want.exists(_._2.size == 5), clue)
         assert(want.exists(_._4.size == Merging.MaxKeys), clue)
