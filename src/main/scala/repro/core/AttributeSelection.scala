@@ -27,7 +27,7 @@ case class AttrSelection(scores: Map[String, Double], selected: Seq[String])
   *
   * γ here thresholds the score *relative to the maximum* (score/max ≥ γ),
   * which matches the paper's "select more significant attributes based on a
-  * threshold γ"; the numeric grid is re-centred for our encoder (DESIGN.md).
+  * threshold γ"; its value is re-centred for our encoder (DESIGN.md).
   */
 object AttributeSelection {
 
@@ -40,10 +40,10 @@ object AttributeSelection {
       df: DataFrame,
       idCol: String,
       attrs: Seq[String],
-      sampleRatio: Double = 0.2,
-      gamma: Double = 0.5,
-      cfg: EmbedConfig = EmbedConfig(),
-      seed: Long = 7L,
+      sampleRatio: Double,
+      gamma: Double,
+      cfg: EmbedConfig,
+      seed: Long,
   ): AttrSelection = {
     require(attrs.nonEmpty, "no attributes to select from")
     if (attrs.size == 1) return AttrSelection(Map(attrs.head -> 1.0), attrs)

@@ -55,30 +55,37 @@ object Merging {
   def twoTableMerge(a: DataFrame, b: DataFrame, cfg: MergeConfig): DataFrame =
     level(tagged(Seq(a, b)), cfg).drop("t")
 
-  /** Algorithm 2: binary-tree merge schedule over all tables. */
-  def hierarchical(tables: Seq[DataFrame], cfg: MergeConfig): DataFrame = {
-    require(tables.nonEmpty, "no tables to merge")
-    hierarchicalTagged(tagged(tables), tables.size, cfg).drop("t")
-  }
-
-  /** Algorithm 2 over the items of `tables` tables in one frame, each item
-    * tagged with its table index t. Each level merges all its table pairs in
+  /** Algorithm 2: the binary-tree merge schedule over the S source tables.
+    *
+    * Every entity becomes a single-member item tagged with the index t of
+    * its table, all in one join. Each level merges all its table pairs in
     * one dataflow and checkpoints the result; the tables of the next level
     * are t / 2, so an odd last table passes to it unmerged.
     *
-    * @return the single merged table, still tagged (t = 0)
+    * @param tables per-source frames with an `eid` column
+    * @param emb    per-entity embeddings (eid, vec[, keys]) of every table
+    * @return the single merged table of items
     */
-  private[core] def hierarchicalTagged(items: DataFrame, tables: Int, cfg: MergeConfig): DataFrame = {
-    var cur = items
-    var n = tables
+  def hierarchical(tables: Seq[DataFrame], emb: DataFrame, cfg: MergeConfig): DataFrame = {
+    require(tables.nonEmpty, "no tables to merge")
+    var cur = levelOneItems(tables, emb)
+    var n = tables.size
     while (n > 1) {
       cur = level(cur, cfg).localCheckpoint()
       n = (n + 1) / 2
     }
-    cur
+    cur.drop("t")
   }
 
-  /** The items of `tables` in one frame, tagged with their table index. */
+  /** The items [[hierarchical]] starts from: every table's items in one
+    * join, each eid tagged with its table index t.
+    */
+  private[repro] def levelOneItems(tables: Seq[DataFrame], emb: DataFrame): DataFrame = {
+    val tags = tables.zipWithIndex.map { case (t, i) => t.select(col("eid") as "id", lit(i) as "t") }
+    initItems(emb).join(tags.reduce(_ unionByName _), Seq("id")).localCheckpoint()
+  }
+
+  /** The items of item tables in one frame, tagged with their table index. */
   private def tagged(tables: Seq[DataFrame]): DataFrame =
     tables.zipWithIndex
       .map { case (df, t) => df.select(lit(t) as "t", col("id"), col("members"), col("vec"), col("keys")) }

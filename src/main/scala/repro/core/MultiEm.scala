@@ -77,7 +77,7 @@ object MultiEm {
     // A feature-less eid keeps one null-feature row, which the weights skip.
     // The union has a partition per input partition of every table; fewer
     // partitions mean fewer tasks in every stage that reads the features.
-    val feats = Embedder.explodeFeaturesOuter(ser, "eid", "text", embedCfg)
+    val feats = Embedder.explodeFeaturesOuter(ser, "eid", "text")
       .coalesce(union.sparkSession.sparkContext.defaultParallelism).localCheckpoint()
     // Read only by the one job that materialises the embeddings (the vector
     // and key kernels share its exchange).
@@ -112,12 +112,7 @@ object MultiEm {
     }
 
     // Phase 2 — table-wise hierarchical merging (Algorithms 2 + 3).
-    val (merged, tMer) = timed {
-      // Every table's items in one join: each eid tagged with its table index.
-      val tags = tables.zipWithIndex.map { case (t, i) => t.select(col("eid") as "id", lit(i) as "t") }
-      val items = Merging.initItems(emb).join(tags.reduce(_ unionByName _), Seq("id")).localCheckpoint()
-      Merging.hierarchicalTagged(items, tables.size, cfg.merge).drop("t")
-    }
+    val (merged, tMer) = timed { Merging.hierarchical(tables, emb, cfg.merge) }
 
     // Phase 3 — density-based pruning (Algorithm 4), or raw merged tuples.
     val (tuples, tPru) = timed {

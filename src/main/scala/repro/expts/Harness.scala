@@ -31,8 +31,10 @@ case class RunOutcome(
   def cellMem: String = peakGB.map(g => f"$g%.1fG").getOrElse(note)
 }
 
-/** Per-dataset tuned hyperparameters (the paper grid-searches m/ε/γ too). */
-case class Tuned(m: Double, eps: Double, gamma: Double)
+/** Per-dataset tuned hyperparameters (the paper grid-searches m/ε/γ too),
+  * with the attributes EER selected for the tuning runs.
+  */
+case class Tuned(m: Double, eps: Double, attrs: Seq[String])
 
 /** Everything a dataset's baseline runs share: embedded items and splits. */
 case class BaselinePrep(
@@ -89,91 +91,78 @@ object Harness {
 
   // ------------------------------------------------------------- MultiEM --
 
-  def multiEmConfig(entities: Long, t: Tuned, useEer: Boolean = true,
-                    usePruning: Boolean = true, parallel: Boolean = false,
-                    sampleRatio: Double = 0.2): MultiEmConfig =
+  /** EER's relative threshold γ for every dataset (re-centred for our
+    * encoder, DESIGN.md).
+    */
+  val Gamma = 0.45
+
+  /** EER's sample ratio r (Algorithm 1 line 2): 0.05 for Person, the paper's
+    * 5 M-entity dataset, and 0.2 for the others.
+    */
+  def sampleRatioFor(dataset: String): Double = if (dataset == "Person") 0.05 else 0.2
+
+  def multiEmConfig(entities: Long, t: Tuned, sampleRatio: Double, useEer: Boolean = true): MultiEmConfig =
     MultiEmConfig(
-      embed = EmbedConfig(),
       useEer = useEer,
-      gamma = t.gamma,
+      gamma = Gamma,
       sampleRatio = sampleRatio,
-      merge = MergeConfig(k = 1, m = t.m, ann = annFor(entities), parallel = parallel),
-      usePruning = usePruning,
+      merge = MergeConfig(k = 1, m = t.m, ann = annFor(entities)),
       prune = PruneConfig(eps = t.eps, minPts = 2),
     )
 
-  /** Grid-search (m, ε, γ) against the ground truth, as §IV-A does, reusing
-    * the attribute scores and embeddings across the grid so tuning costs a
-    * few merges, not a few pipelines.
+  /** Grid-search (m, ε) against the ground truth, as §IV-A does, on the
+    * pipeline `MultiEm.run` runs under `multiEmConfig`: one attribute
+    * selection and one representation, then one `Merging.hierarchical` per
+    * m and one pruning per ε, so tuning costs a few merges, not a few
+    * pipelines.
     */
   def tuneMultiEm(
       ds: EmDataset,
+      sampleRatio: Double,
       mGrid: Seq[Double] = Seq(0.45, 0.60),
       epsGrid: Seq[Double] = Seq(0.90, 1.10),
-      gammaGrid: Seq[Double] = Seq(0.45),
-      sampleRatio: Double = 0.2,
   ): Tuned = {
-    val union = ds.tables.reduce(_ unionByName _).localCheckpoint()
-    val entities = union.count()
-    val ann = annFor(entities)
+    val tables = ds.tables.map(_.localCheckpoint())
+    val union = tables.reduce(_ unionByName _)
+    val cfg = multiEmConfig(union.count(), Tuned(mGrid.head, epsGrid.head, ds.attrs), sampleRatio)
     val gt = ds.gtTuples.localCheckpoint()
-    val sel = AttributeSelection.select(union, "eid", ds.attrs, sampleRatio, gammaGrid.min)
-    var best = (Double.NegativeInfinity, Tuned(mGrid.head, epsGrid.head, gammaGrid.head))
-    for ((g, attrs) <- tuneAttrSets(sel.scores, ds.attrs, gammaGrid)) {
-      val embC = MultiEm.representWithKeys(union, attrs, EmbedConfig(), ann).localCheckpoint()
-      val items = ds.tables.map(t =>
-        Merging.initItems(t.select(col("eid")).join(embC, Seq("eid"))).localCheckpoint())
-      for (m <- mGrid) {
-        val merged = Merging.hierarchical(items, MergeConfig(k = 1, m = m, ann = ann)).localCheckpoint()
-        for (eps <- epsGrid) {
-          val pred = DensityPruning.prune(merged, embC, PruneConfig(eps, 2))
-          val f1 = Metrics.tupleScores(pred, gt).f1
-          Console.err.println(f"[tune] gamma=$g m=$m eps=$eps -> F1=$f1%.1f")
-          if (f1 > best._1) best = (f1, Tuned(m, eps, g))
-        }
+    val sel = AttributeSelection.select(union, "eid", ds.attrs, cfg.sampleRatio, cfg.gamma, cfg.embed, cfg.seed)
+    val emb = MultiEm.representWithKeys(union, sel.selected, cfg.embed, cfg.merge.ann).localCheckpoint()
+    var best = (Double.NegativeInfinity, Tuned(mGrid.head, epsGrid.head, sel.selected))
+    for (m <- mGrid) {
+      val merged = Merging.hierarchical(tables, emb, cfg.merge.copy(m = m))
+      for (eps <- epsGrid) {
+        val pred = DensityPruning.prune(merged, emb, cfg.prune.copy(eps = eps))
+        val f1 = Metrics.tupleScores(pred, gt).f1
+        Console.err.println(f"[tune] m=$m eps=$eps -> F1=$f1%.1f")
+        if (f1 > best._1) best = (f1, Tuned(m, eps, sel.selected))
       }
     }
     best._2
   }
 
-  /** The distinct attribute sets the γ grid selects from one set of EER
-    * scores, each paired with the first γ that gives it.
+  /** All Table IV/V/VI MultiEM rows for one dataset: full (timed), w/o EER,
+    * and w/o DP (the full run's merged table, unpruned).
     */
-  private[expts] def tuneAttrSets(
-      scores: Map[String, Double],
-      attrs: Seq[String],
-      gammaGrid: Seq[Double],
-  ): Seq[(Double, Seq[String])] =
-    gammaGrid.map(g => g -> AttributeSelection.selectByScore(scores, attrs, g)).distinctBy(_._2)
-
-  /** All Table IV/V/VI MultiEM rows for one dataset: full, w/o EER, w/o DP,
-    * and the parallel variant (timed separately).
-    */
-  def runMultiEmAll(bd: BenchDataset, t: Tuned, sampleRatio: Double = 0.2): Seq[RunOutcome] = {
+  def runMultiEmAll(bd: BenchDataset, t: Tuned, sampleRatio: Double): Seq[RunOutcome] = {
     val ds = bd.ds
     val entities = ds.df.count()
     val gt = ds.gtTuples.localCheckpoint()
     val tables = ds.tables.map(_.localCheckpoint())
 
     val (full, secs, mem) = measure {
-      MultiEm.run(tables, ds.attrs, multiEmConfig(entities, t, sampleRatio = sampleRatio))
+      MultiEm.run(tables, ds.attrs, multiEmConfig(entities, t, sampleRatio))
     }
     val (tf, pf) = evalBoth(full.tuples, gt)
     val (tNoDp, pNoDp) = evalBoth(full.tuplesWithoutPruning, gt)
 
-    val noEer = MultiEm.run(tables, ds.attrs, multiEmConfig(entities, t, useEer = false, sampleRatio = sampleRatio))
+    val noEer = MultiEm.run(tables, ds.attrs, multiEmConfig(entities, t, sampleRatio, useEer = false))
     val (tNoEer, pNoEer) = evalBoth(noEer.tuples, gt)
-
-    val (par, psecs, pmem) = measure {
-      MultiEm.run(tables, ds.attrs, multiEmConfig(entities, t, parallel = true, sampleRatio = sampleRatio))
-    }
-    val (tp, pp) = evalBoth(par.tuples, gt)
 
     Seq(
       RunOutcome("MultiEM", ds.name, Some(tf), Some(pf), Some(secs), Some(mem)),
       RunOutcome("MultiEM w/o EER", ds.name, Some(tNoEer), Some(pNoEer), None, None),
       RunOutcome("MultiEM w/o DP", ds.name, Some(tNoDp), Some(pNoDp), None, None),
-      RunOutcome("MultiEM (parallel)", ds.name, Some(tp), Some(pp), Some(psecs), Some(pmem)),
     )
   }
 

@@ -58,9 +58,6 @@ object PaperNumbers {
     ("MultiEM", "Geo") -> "6.1s", ("MultiEM", "Music-20") -> "34.6s",
     ("MultiEM", "Music-200") -> "6.3m", ("MultiEM", "Music-2000") -> "1.3h",
     ("MultiEM", "Person") -> "1.8h", ("MultiEM", "Shopee") -> "42.9s",
-    ("MultiEM (parallel)", "Geo") -> "10.7s", ("MultiEM (parallel)", "Music-20") -> "31.0s",
-    ("MultiEM (parallel)", "Music-200") -> "4.2m", ("MultiEM (parallel)", "Music-2000") -> "49.1m",
-    ("MultiEM (parallel)", "Person") -> "52.9m", ("MultiEM (parallel)", "Shopee") -> "31.8s",
   )
 
   /** Table VI — memory usage strings (mostly unreadable in our copy; the
@@ -71,7 +68,7 @@ object PaperNumbers {
     ("AutoFJ (pw)", "Shopee") -> "3.0G", ("PromptEM (c)", "Shopee") -> "9.5G",
     ("Ditto (c)", "Shopee") -> "8.5G", ("AutoFJ (c)", "Shopee") -> "3.0G",
     ("ALMSER-GB", "Shopee") -> "9.9G", ("MSCD-HAC", "Shopee") -> "\\",
-    ("MultiEM", "Shopee") -> "7.5G", ("MultiEM (parallel)", "Shopee") -> "2.7G",
+    ("MultiEM", "Shopee") -> "7.5G",
   )
 
   /** Table VII — attributes selected by EER per dataset. */

@@ -1,7 +1,7 @@
 package repro.expts
 
 import org.apache.spark.sql.SparkSession
-import repro.core.AttributeSelection
+import repro.core.{AttributeSelection, MultiEmConfig}
 import repro.data.EmDataGen
 
 /** Builders that render each paper table (ours vs paper) as text. The heavy
@@ -15,7 +15,7 @@ object Tables {
     "PromptEM (pw)", "Ditto (pw)", "AutoFJ (pw)",
     "PromptEM (c)", "Ditto (c)", "AutoFJ (c)",
     "ALMSER-GB", "MSCD-HAC",
-    "MultiEM", "MultiEM w/o EER", "MultiEM w/o DP", "MultiEM (parallel)")
+    "MultiEM", "MultiEM w/o EER", "MultiEM w/o DP")
 
   private def pad(s: String, w: Int): String = s.padTo(w, ' ')
 
@@ -62,7 +62,7 @@ object Tables {
       // grid affordable and transfers because the noise model is scale-free).
       def tune(name: String, ds: repro.data.EmDataset): Tuned = {
         Console.err.println(s"[ExperimentCache] tuning on $name")
-        val t = Harness.tuneMultiEm(ds)
+        val t = Harness.tuneMultiEm(ds, Harness.sampleRatioFor(ds.name))
         Console.err.println(s"[ExperimentCache] tuned $name -> $t")
         t
       }
@@ -79,8 +79,7 @@ object Tables {
       all.flatMap { bd =>
         val name = bd.ds.name
         Console.err.println(s"[ExperimentCache] running dataset $name (tuned=${tunedFor(name)})")
-        val sampleRatio = if (name == "Person") 0.05 else 0.2
-        val multi = Harness.runMultiEmAll(bd, tunedFor(name), sampleRatio)
+        val multi = Harness.runMultiEmAll(bd, tunedFor(name), Harness.sampleRatioFor(name))
         Console.err.println(s"[ExperimentCache] $name MultiEM done: " +
           multi.map(o => s"${o.method}=${o.cellF1}/${o.cellPairF1}").mkString(", "))
         val base = Harness.runAllBaselines(bd)
@@ -140,8 +139,8 @@ object Tables {
     for (bd <- Datasets.all(spark)) {
       val ds = bd.ds
       val union = ds.tables.reduce(_ unionByName _)
-      val r = if (ds.df.count() > 1000000) 0.05 else 0.2
-      val sel = AttributeSelection.select(union, "eid", ds.attrs, sampleRatio = r, gamma = 0.45)
+      val cfg = MultiEmConfig(gamma = Harness.Gamma, sampleRatio = Harness.sampleRatioFor(ds.name))
+      val sel = AttributeSelection.select(union, "eid", ds.attrs, cfg.sampleRatio, cfg.gamma, cfg.embed, cfg.seed)
       val paper = PaperNumbers.tableVII(ds.name)
       sb ++= s"${pad(ds.name, 12)} ours: ${sel.selected.mkString(", ")}\n"
       sb ++= s"${pad("", 12)} paper: ${paper._2}\n"

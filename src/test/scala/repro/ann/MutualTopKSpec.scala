@@ -307,9 +307,7 @@ class MutualTopKSpec extends SparkSpec {
       val union = ds.tables.reduce(_ unionByName _)
       val sel = AttributeSelection.select(union, "eid", ds.attrs, 0.2, 0.45, EmbedConfig(), 1L)
       val emb = MultiEm.representWithKeys(union, sel.selected, EmbedConfig(), keyed)
-      val tags = ds.tables.zipWithIndex.map { case (t, i) => t.select(col("eid") as "id", lit(i) as "t") }
-      val items = Merging.initItems(emb).join(tags.reduce(_ unionByName _), Seq("id"))
-        .select("t", "id", "vec", "keys").localCheckpoint()
+      val items = Merging.levelOneItems(ds.tables, emb).select("t", "id", "vec", "keys")
       val exact = pairsOf(MutualTopK.mutualPairsByTablePair(items, 1, 0.45, AnnConfig(exact = true)))
       val blocked = pairsOf(MutualTopK.mutualPairsByTablePair(items, 1, 0.45, keyed))
       val recall = (blocked & exact).size.toDouble / exact.size

@@ -8,6 +8,13 @@ import repro.embed.{EmbedConfig, Embedder, VecOps}
 
 class AttributeSelectionSpec extends SparkSpec {
 
+  private val defaults = MultiEmConfig()
+
+  /** Algorithm 1 on the pipeline's encoder, by `eid`. */
+  private def select(df: DataFrame, attrs: Seq[String], sampleRatio: Double, gamma: Double,
+                     seed: Long = defaults.seed): AttrSelection =
+    AttributeSelection.select(df, "eid", attrs, sampleRatio, gamma, defaults.embed, seed)
+
   /** A corpus where `title` carries shared mid-frequency content words and
     * `id` carries unique gibberish — EER must score title ≫ id.
     */
@@ -23,23 +30,23 @@ class AttributeSelectionSpec extends SparkSpec {
   }
 
   test("informative attribute scores above gibberish id") {
-    val sel = AttributeSelection.select(corpus(), "eid", Seq("title", "id"), sampleRatio = 1.0, gamma = 0.5)
+    val sel = select(corpus(), Seq("title", "id"), sampleRatio = 1.0, gamma = 0.5)
     assert(sel.scores("title") > sel.scores("id"),
       s"title=${sel.scores("title")} id=${sel.scores("id")}")
   }
 
   test("gamma thresholding keeps the informative attribute and drops the id") {
-    val sel = AttributeSelection.select(corpus(), "eid", Seq("title", "id"), sampleRatio = 1.0, gamma = 0.5)
+    val sel = select(corpus(), Seq("title", "id"), sampleRatio = 1.0, gamma = 0.5)
     assert(sel.selected == Seq("title"))
   }
 
   test("gamma = 0 keeps every attribute") {
-    val sel = AttributeSelection.select(corpus(), "eid", Seq("title", "id"), sampleRatio = 1.0, gamma = 0.0)
+    val sel = select(corpus(), Seq("title", "id"), sampleRatio = 1.0, gamma = 0.0)
     assert(sel.selected == Seq("title", "id"))
   }
 
   test("single attribute short-circuits to itself") {
-    val sel = AttributeSelection.select(corpus(), "eid", Seq("title"), sampleRatio = 1.0, gamma = 0.9)
+    val sel = select(corpus(), Seq("title"), sampleRatio = 1.0, gamma = 0.9)
     assert(sel.selected == Seq("title"))
   }
 
@@ -51,30 +58,30 @@ class AttributeSelectionSpec extends SparkSpec {
       (i.toLong, words(rnd.nextInt(4)) + " " + words(rnd.nextInt(4)),
         words(rnd.nextInt(4)), "u" + rnd.nextInt(1000000))
     }.toDF("eid", "t1", "t2", "junk")
-    val sel = AttributeSelection.select(df, "eid", Seq("t1", "t2", "junk"), 1.0, 0.2)
+    val sel = select(df, Seq("t1", "t2", "junk"), 1.0, 0.2)
     assert(sel.selected == sel.selected.sortBy(Seq("t1", "t2", "junk").indexOf(_)))
   }
 
   test("at least one attribute is always selected (argmax fallback)") {
-    val sel = AttributeSelection.select(corpus(), "eid", Seq("title", "id"), 1.0, gamma = 5.0)
+    val sel = select(corpus(), Seq("title", "id"), 1.0, gamma = 5.0)
     assert(sel.selected.nonEmpty)
     assert(sel.selected == Seq(sel.scores.maxBy(_._2)._1))
   }
 
   test("scores are reported for every candidate attribute") {
-    val sel = AttributeSelection.select(corpus(), "eid", Seq("title", "id"), 1.0, 0.5)
+    val sel = select(corpus(), Seq("title", "id"), 1.0, 0.5)
     assert(sel.scores.keySet == Set("title", "id"))
     assert(sel.scores.values.forall(s => s >= 0.0 && s <= 2.0))
   }
 
   test("sampling ratio below 1 still ranks title over id") {
-    val sel = AttributeSelection.select(corpus(200), "eid", Seq("title", "id"), sampleRatio = 0.3, gamma = 0.5)
+    val sel = select(corpus(200), Seq("title", "id"), sampleRatio = 0.3, gamma = 0.5)
     assert(sel.scores("title") > sel.scores("id"))
   }
 
   test("selection is deterministic in the seed") {
-    val a = AttributeSelection.select(corpus(), "eid", Seq("title", "id"), 0.5, 0.5, seed = 9L)
-    val b = AttributeSelection.select(corpus(), "eid", Seq("title", "id"), 0.5, 0.5, seed = 9L)
+    val a = select(corpus(), Seq("title", "id"), 0.5, 0.5, seed = 9L)
+    val b = select(corpus(), Seq("title", "id"), 0.5, 0.5, seed = 9L)
     assert(a.scores == b.scores && a.selected == b.selected)
   }
 
@@ -102,7 +109,7 @@ class AttributeSelectionSpec extends SparkSpec {
     import spark.implicits._
     val rnd = new scala.util.Random(8)
     val words = Array("river", "midnight", "golden", "shadow", "dancing", "broken", "silver", "summer")
-    // Long texts exercise maxTokens truncation of the serialized variants;
+    // Long texts exercise MaxTokens truncation of the serialized variants;
     // null values and an all-punctuation row give the base zero vectors.
     def unless(skip: Boolean)(v: String) = if (skip) None else Some(v)
     val df = ((0 until 80).map { i =>
@@ -114,7 +121,7 @@ class AttributeSelectionSpec extends SparkSpec {
       .toDF("eid", "title", "id", "notes", "year").cache()
     val attrs = Seq("title", "id", "notes", "year")
     for ((ratio, gamma) <- Seq(1.0 -> 0.5, 0.5 -> 0.3)) {
-      val sel = AttributeSelection.select(df, "eid", attrs, ratio, gamma, seed = 5L)
+      val sel = select(df, attrs, ratio, gamma, seed = 5L)
       val ref = perAttributeScores(df, attrs, ratio, 5L)
       assert(sel.scores.keySet == ref.keySet)
       attrs.foreach(a => assert(math.abs(sel.scores(a) - ref(a)) <= 1e-12, s"$a: ${sel.scores(a)} vs ${ref(a)}"))

@@ -3,14 +3,20 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
-import repro.TestUtil.{planar, vecDf, withConf}
+import repro.TestUtil.{embDf, planar, withConf}
 import repro.ann.{AnnConfig, MutualTopK}
 import repro.embed.VecOps
 
 class MergingSpec extends SparkSpec {
 
   private def items(rows: Seq[(Long, Array[Double])]): DataFrame =
-    Merging.initItems(vecDf(spark, rows).withColumnRenamed("id", "eid"))
+    Merging.initItems(embDf(spark, rows))
+
+  /** `hierarchical` over one source table per entry of `tables`. */
+  private def hierarchical(tables: Seq[(Long, Array[Double])]*): DataFrame = {
+    val embs = tables.map(embDf(spark, _))
+    Merging.hierarchical(embs.map(_.select("eid")), embs.reduce(_ unionByName _), cfg)
+  }
 
   private def memberSets(df: DataFrame): Set[Set[Long]] = TestUtil.tupleSet(df)
 
@@ -65,25 +71,18 @@ class MergingSpec extends SparkSpec {
   test("hierarchical over 4 tables finds cross-hierarchy matches") {
     // e1≈e2 (tables 1,2) and e3≈e4 (tables 3,4); the two merged items are
     // also near each other → second hierarchy merges all four.
-    val t1 = items(Seq(1L -> planar(0.00)))
-    val t2 = items(Seq(2L -> planar(0.04)))
-    val t3 = items(Seq(3L -> planar(0.08)))
-    val t4 = items(Seq(4L -> planar(0.12)))
-    val out = Merging.hierarchical(Seq(t1, t2, t3, t4), cfg)
+    val out = hierarchical(Seq(1L -> planar(0.00)), Seq(2L -> planar(0.04)), Seq(3L -> planar(0.08)),
+      Seq(4L -> planar(0.12)))
     assert(memberSets(out) == Set(Set(1L, 2L, 3L, 4L)))
   }
 
   test("hierarchical with an odd table count carries the odd table forward") {
-    val t1 = items(Seq(1L -> planar(0.0)))
-    val t2 = items(Seq(2L -> planar(1.5)))
-    val t3 = items(Seq(3L -> planar(0.03)))
-    val out = Merging.hierarchical(Seq(t1, t2, t3), cfg)
+    val out = hierarchical(Seq(1L -> planar(0.0)), Seq(2L -> planar(1.5)), Seq(3L -> planar(0.03)))
     assert(memberSets(out) == Set(Set(1L, 3L), Set(2L)))
   }
 
   test("hierarchical of a single table is the identity") {
-    val t1 = items(Seq(1L -> planar(0.0), 2L -> planar(1.0)))
-    assert(memberSets(Merging.hierarchical(Seq(t1), cfg)) == Set(Set(1L), Set(2L)))
+    assert(memberSets(hierarchical(Seq(1L -> planar(0.0), 2L -> planar(1.0)))) == Set(Set(1L), Set(2L)))
   }
 
   test("transitivity merges within one hierarchy via connected components") {
@@ -106,13 +105,14 @@ class MergingSpec extends SparkSpec {
     // agree bit for bit, keys in order, at any shuffle-partition count.
     import spark.implicits._
     val offset = Seq(0.0, 0.04, 0.05, 0.01, 0.02)
-    val tabs = (0 until 5).map { t =>
+    val embs = (0 until 5).map { t =>
       val rows = (0 until 5).map { i =>
         val id = (t * 10 + i).toLong
         (id, planar(i * 0.5 + offset(t)).toSeq, i.toLong +: (1 to 5).map(j => 1000L * (t + 1) + 10 * i + j))
       }
-      Merging.initItems(rows.toDF("eid", "vec", "keys")).localCheckpoint()
+      rows.toDF("eid", "vec", "keys").localCheckpoint()
     }
+    val tabs = embs.map(Merging.initItems(_).localCheckpoint())
     def rowsOf(df: DataFrame) = df.collect().map(r =>
       (r.getLong(0), r.getSeq[Long](1), r.getSeq[Double](2).map(java.lang.Double.doubleToRawLongBits),
         r.getSeq[Long](3))).sortBy(_._1).toSeq
@@ -130,17 +130,14 @@ class MergingSpec extends SparkSpec {
         val want = rowsOf(perPair(c))
         assert(want.exists(_._2.size == 5), clue)
         assert(want.exists(_._4.size == Merging.MaxKeys), clue)
-        assert(rowsOf(Merging.hierarchical(tabs, c)) == want, clue)
+        assert(rowsOf(Merging.hierarchical(embs.map(_.select("eid")), embs.reduce(_ unionByName _), c)) == want, clue)
       }
     }
   }
 
   test("members stay sorted after multi-level merges") {
-    val t1 = items(Seq(9L -> planar(0.00)))
-    val t2 = items(Seq(4L -> planar(0.02)))
-    val t3 = items(Seq(7L -> planar(0.04)))
-    val t4 = items(Seq(1L -> planar(0.06)))
-    val out = Merging.hierarchical(Seq(t1, t2, t3, t4), cfg).collect()
+    val out = hierarchical(Seq(9L -> planar(0.00)), Seq(4L -> planar(0.02)), Seq(7L -> planar(0.04)),
+      Seq(1L -> planar(0.06))).collect()
     val members = out.map(_.getSeq[Long](1)).find(_.size == 4).get
     assert(members == members.sorted)
     assert(out.find(_.getSeq[Long](1).size == 4).get.getLong(0) == 1L)

@@ -9,6 +9,7 @@ import repro.data.EmDataGen
 class EmbedderSpec extends SparkSpec {
 
   private val cfg = EmbedConfig(dim = 64)
+  private val keyed = AnnConfig(exact = false)
 
   private def embedTexts(texts: Seq[String]): Map[Long, Array[Double]] = {
     import spark.implicits._
@@ -43,44 +44,45 @@ class EmbedderSpec extends SparkSpec {
   // ------------------------------------------------------------ features --
 
   test("featuresOf emits word features for every token") {
-    val fs = Embedder.featuresOf("apple iphone 8", cfg).map(_._1)
+    val fs = Embedder.featuresOf("apple iphone 8").map(_._1)
     assert(fs.contains("w:apple") && fs.contains("w:iphone") && fs.contains("w:8"))
   }
 
   test("featuresOf emits char trigrams for tokens longer than 3") {
-    val fs = Embedder.featuresOf("apple", cfg).map(_._1)
+    val fs = Embedder.featuresOf("apple").map(_._1)
     assert(fs.contains("t:app") && fs.contains("t:ppl") && fs.contains("t:ple"))
   }
 
   test("featuresOf emits no trigrams for short tokens") {
-    val fs = Embedder.featuresOf("ab cde", cfg).map(_._1)
+    val fs = Embedder.featuresOf("ab cde").map(_._1)
     assert(!fs.exists(_.startsWith("t:")))
     assert(fs == Seq("w:ab", "w:cde"))
   }
 
   test("featuresOf weights trigrams below words") {
-    val fs = Embedder.featuresOf("apple", cfg).toMap
+    val fs = Embedder.featuresOf("apple").toMap
     assert(fs("w:apple") == 1.0)
-    assert(fs("t:app") == cfg.trigramWeight)
+    assert(fs("t:app") == Embedder.TrigramWeight)
   }
 
   test("featuresOf splits on punctuation and is case-insensitive") {
-    val fs = Embedder.featuresOf("Tim-O'Brien", cfg).map(_._1)
+    val fs = Embedder.featuresOf("Tim-O'Brien").map(_._1)
     assert(fs.contains("w:tim") && fs.contains("w:o") && fs.contains("w:brien"))
   }
 
   test("featuresOf truncates at maxTokens (paper caps sequence length)") {
     val text = (1 to 100).map(i => s"tok$i").mkString(" ")
-    val fs = Embedder.featuresOf(text, cfg.copy(maxTokens = 10)).filter(_._1.startsWith("w:"))
-    assert(fs.size == 10)
+    val fs = Embedder.featuresOf(text).filter(_._1.startsWith("w:"))
+    assert(Embedder.MaxTokens == 64)
+    assert(fs.size == Embedder.MaxTokens)
   }
 
   test("numeric-majority tokens emit no trigrams (atomic symbols)") {
-    val fs = Embedder.featuresOf("47.1234", cfg).map(_._1)
+    val fs = Embedder.featuresOf("47.1234").map(_._1)
     assert(fs.contains("w:47") && fs.contains("w:1234"))
     assert(!fs.exists(_.startsWith("t:")), "digit trigrams must be suppressed")
     // mixed token with majority letters keeps its trigrams
-    assert(Embedder.featuresOf("abcd1", cfg).map(_._1).contains("t:abc"))
+    assert(Embedder.featuresOf("abcd1").map(_._1).contains("t:abc"))
   }
 
   test("isNumericToken classifies by digit majority") {
@@ -91,9 +93,9 @@ class EmbedderSpec extends SparkSpec {
   }
 
   test("featuresOf of null/empty is empty") {
-    assert(Embedder.featuresOf(null, cfg).isEmpty)
-    assert(Embedder.featuresOf("", cfg).isEmpty)
-    assert(Embedder.featuresOf("  ", cfg).isEmpty)
+    assert(Embedder.featuresOf(null).isEmpty)
+    assert(Embedder.featuresOf("").isEmpty)
+    assert(Embedder.featuresOf("  ").isEmpty)
   }
 
   // ------------------------------------------------------------- weights --
@@ -225,7 +227,7 @@ class EmbedderSpec extends SparkSpec {
     val df = rows.toDF("eid", "text")
     val feats = Embedder.explodeFeatures(df, "eid", "text", cfg)
     val w = Embedder.featureWeights(feats, "eid", rows.size)
-    val keys = Embedder.blockingKeys(df, "eid", "text", w, cfg)
+    val keys = Embedder.blockingKeys(df, "eid", "text", w, cfg, keyed.topB, keyed.rareDf)
       .collect().map(r => r.getLong(0) -> r.getSeq[Long](1).toSet).toMap
     assert(keys(0L).intersect(keys(1L)).nonEmpty, "typo variants must share a key")
     assert(keys(0L).intersect(keys(2L)).isEmpty, "unrelated entities must not")
@@ -238,7 +240,7 @@ class EmbedderSpec extends SparkSpec {
     val df = Seq((0L, "solo"), (1L, ""), (2L, "two words"), (3L, "omega psi")).toDF("eid", "text")
     val feats = Embedder.explodeFeatures(df.filter(col("eid") < 3L), "eid", "text", cfg)
     val w = Embedder.featureWeights(feats, "eid", 3)
-    val keys = Embedder.blockingKeys(df, "eid", "text", w, cfg)
+    val keys = Embedder.blockingKeys(df, "eid", "text", w, cfg, keyed.topB, keyed.rareDf)
       .collect().map(r => r.getLong(0) -> r.getSeq[Long](1)).toMap
     assert(keys.size == 4)
     assert(keys.values.forall(_.nonEmpty))

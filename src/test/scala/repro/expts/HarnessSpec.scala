@@ -1,7 +1,7 @@
 package repro.expts
 
 import repro.SparkSpec
-import repro.core.AttributeSelection
+import repro.core.MultiEm
 import repro.data.EmDataGen
 import repro.eval.Scores
 
@@ -69,18 +69,17 @@ class HarnessSpec extends SparkSpec {
 
   test("tuneMultiEm returns grid members") {
     val ds = EmDataGen.geo(spark, scale = 0.05, seed = 3L)
-    val t = Harness.tuneMultiEm(ds, mGrid = Seq(0.3, 0.5), epsGrid = Seq(0.8), gammaGrid = Seq(0.5), sampleRatio = 1.0)
+    val t = Harness.tuneMultiEm(ds, sampleRatio = 1.0, mGrid = Seq(0.3, 0.5), epsGrid = Seq(0.8))
     assert(Seq(0.3, 0.5).contains(t.m))
-    assert(t.eps == 0.8 && t.gamma == 0.5)
+    assert(t.eps == 0.8)
   }
 
-  test("tuneMultiEm's attribute sets come from the single gamma rule") {
-    // max ≤ 1e-12 keeps every attribute, where a plain score ≥ γ·max cut
-    // would keep only "a".
-    val scores = Map("a" -> 1e-13, "b" -> 0.0)
-    val grid = Seq(0.3, 0.45)
-    val sets = Harness.tuneAttrSets(scores, Seq("a", "b"), grid)
-    assert(sets == Seq(0.3 -> Seq("a", "b")))
-    assert(sets.map(_._2) == grid.map(g => AttributeSelection.selectByScore(scores, Seq("a", "b"), g)).distinct)
+  test("tuneMultiEm tunes on the attributes the tuned MultiEm run selects") {
+    val ds = EmDataGen.geo(spark, scale = 0.05, seed = 3L)
+    val r = Harness.sampleRatioFor(ds.name)
+    val t = Harness.tuneMultiEm(ds, r, mGrid = Seq(0.45), epsGrid = Seq(0.9))
+    val run = MultiEm.run(ds.tables, ds.attrs, Harness.multiEmConfig(ds.df.count(), t, r))
+    assert(t.attrs.nonEmpty)
+    assert(run.selectedAttrs == t.attrs)
   }
 }

@@ -13,7 +13,7 @@ class IntegrationSpec extends SparkSpec {
 
   private lazy val bd = BenchDataset(EmDataGen.geo(spark, scale = 0.12, seed = 77L), 3054, "test")
   private lazy val prep = Harness.prepBaselines(bd)
-  private lazy val tuned = Harness.tuneMultiEm(bd.ds, gammaGrid = Seq(0.5), sampleRatio = 1.0)
+  private lazy val tuned = Harness.tuneMultiEm(bd.ds, sampleRatio = 1.0)
   private lazy val multi = Harness.runMultiEmAll(bd, tuned, sampleRatio = 1.0)
   private lazy val autoFjPw = Harness.runTwoTableBaseline("AutoFJ", "pw", prep, bd.ds.name)
 
@@ -22,9 +22,8 @@ class IntegrationSpec extends SparkSpec {
     assert(prep.tables.size == bd.ds.nSources)
   }
 
-  test("MultiEM full run reports all four variants") {
-    assert(multi.map(_.method).toSet ==
-      Set("MultiEM", "MultiEM w/o EER", "MultiEM w/o DP", "MultiEM (parallel)"))
+  test("MultiEM full run reports all three variants") {
+    assert(multi.map(_.method).toSet == Set("MultiEM", "MultiEM w/o EER", "MultiEM w/o DP"))
   }
 
   test("MultiEM outperforms the unsupervised pairwise baseline on tuple F1") {
@@ -35,12 +34,6 @@ class IntegrationSpec extends SparkSpec {
 
   test("MultiEM scores a solid absolute tuple F1 on Geo-like data") {
     assert(multi.find(_.method == "MultiEM").get.tuple.get.f1 > 40.0)
-  }
-
-  test("parallel variant matches the sequential scores") {
-    val seq = multi.find(_.method == "MultiEM").get
-    val par = multi.find(_.method == "MultiEM (parallel)").get
-    assert(math.abs(seq.tuple.get.f1 - par.tuple.get.f1) < 1e-6)
   }
 
   test("supervised proxies emit pairs and tuples end to end") {
@@ -66,7 +59,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("phase breakdown reports all phases with positive total") {
-    val phases = MultiEm.run(bd.ds.tables, bd.ds.attrs, Harness.multiEmConfig(bd.ds.df.count(), tuned)).phaseSeconds
+    val phases = MultiEm.run(bd.ds.tables, bd.ds.attrs, Harness.multiEmConfig(bd.ds.df.count(), tuned, sampleRatio = 1.0)).phaseSeconds
     assert(phases.keySet == Set("selection", "representation", "merging", "pruning"))
     assert(phases.values.sum > 0.0)
   }
