@@ -32,23 +32,29 @@ case class AnnConfig(
   * Every entry tags its rows with a group and a side (left or right); one
   * `groupBy(group)` gathers each group's items and one kernel
   * (`mutualTopK`) searches the group in one task, so a search is two
-  * stages. The three entries differ only in their groups:
+  * stages. The two entries differ only in their groups:
   *  - `mutualPairs`: one group, between two embedded tables (the two-table
   *    matchers);
-  *  - `mutualPairsByTablePair`: one group per table pair of one hierarchy
-  *    level (Algorithm 3's merge step for all the level's table pairs at
-  *    once);
   *  - `mutualPairsBySource`: one group per two sources of one tagged frame
   *    (the pairwise extension, Fig. 2a), each entity entering the group of
   *    every partner source — the per-table-pair result for all C(S,2) pairs
   *    at once.
+  *
+  * `Merging`'s level kernel calls `mutualTopK` on each table pair's group
+  * of items itself (Algorithm 3).
   */
 object MutualTopK {
 
   /** One item of a group: its id, vector and blocking keys (empty in exact
     * mode).
     */
-  private[repro] case class Item(id: Long, vec: Array[Double], keys: Seq[Any])
+  private[repro] case class Item(id: Long, vec: Array[Double], keys: Seq[Long])
+
+  /** A group's item from its row (right, id, vec[, keys, …]); a missing or
+    * null `keys` gives no keys.
+    */
+  private[repro] def item(r: Row): Item =
+    Item(r.getLong(1), r.getSeq[Double](2).toArray, if (r.length < 4 || r.isNullAt(3)) Nil else r.getSeq[Long](3))
 
   /** The mutual top-K pairs (lid, rid, dist) between the two sides of one
     * group, lid from `left` and rid from `right`.
@@ -75,7 +81,7 @@ object MutualTopK {
     }
     if (exact) for (i <- left.indices; j <- right.indices) score(i, j)
     else {
-      val index = mutable.HashMap.empty[Any, ArrayBuffer[Int]]
+      val index = mutable.HashMap.empty[Long, ArrayBuffer[Int]]
       for (j <- right.indices; key <- right(j).keys) index.getOrElseUpdate(key, ArrayBuffer.empty) += j
       // lastLeft(j) = the last left item scored against j, so a pair sharing
       // several keys is scored once.
@@ -125,23 +131,6 @@ object MutualTopK {
     search(side(left, false) unionByName side(right, true), Seq.empty, k, m, cfg)
   }
 
-  /** Mutual top-K pairs with distance ≤ m within each table pair of one
-    * frame: table 2i meets only table 2i + 1 (an odd last table meets none).
-    * Equal to `mutualPairs` run on every pair and unioned.
-    *
-    * @param items (t, id, vec[, keys]) — all items tagged with their table
-    *              index t; `keys` required when `cfg.exact` is false
-    * @return (lid, rid, dist, lpair, rpair) with t(lid) = 2·lpair and
-    *         t(rid) = 2·rpair + 1, lpair = rpair
-    */
-  def mutualPairsByTablePair(items: DataFrame, k: Int, m: Double, cfg: AnnConfig): DataFrame = {
-    val tagged = items
-      .withColumn("pair", shiftright(col("t"), 1))
-      .withColumn("right", col("t") % 2 === 1)
-    search(tagged, Seq("pair"), k, m, cfg)
-      .select(col("lid"), col("rid"), col("dist"), col("pair") as "lpair", col("pair") as "rpair")
-  }
-
   /** Mutual top-K pairs with distance ≤ m between every two sources of one
     * frame; each entity keeps its top k per partner source.
     *
@@ -172,9 +161,6 @@ object MutualTopK {
     * @return (lid, rid, dist, group columns…)
     */
   private def search(tagged: DataFrame, group: Seq[String], k: Int, m: Double, cfg: AnnConfig): DataFrame = {
-    def item(r: Row): Item =
-      Item(r.getLong(1), r.getSeq[Double](2).toArray,
-        if (cfg.exact || r.isNullAt(3)) Nil else r.getSeq[Any](3))
     val kernel = udf { (items: Seq[Row]) =>
       val (right, left) = items.partition(_.getBoolean(0))
       mutualTopK(left.map(item).toIndexedSeq, right.map(item).toIndexedSeq, k, m, cfg.exact)

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.ann.{AnnConfig, MutualTopK}
 import repro.embed.VecOps
@@ -59,8 +59,9 @@ object Merging {
     *
     * Every entity becomes a single-member item tagged with the index t of
     * its table, all in one join. Each level merges all its table pairs in
-    * one dataflow and checkpoints the result; the tables of the next level
-    * are t / 2, so an odd last table passes to it unmerged.
+    * one `groupBy`, one kernel task per pair, and checkpoints the result;
+    * the tables of the next level are t / 2, so an odd last table passes to
+    * it unmerged.
     *
     * @param tables per-source frames with an `eid` column
     * @param emb    per-entity embeddings (eid, vec[, keys]) of every table
@@ -91,36 +92,44 @@ object Merging {
       .map { case (df, t) => df.select(lit(t) as "t", col("id"), col("members"), col("vec"), col("keys")) }
       .reduce(_ unionByName _)
 
-  /** Algorithm 3 for every table pair (2i, 2i + 1) of one level at once.
-    *
-    * Mutual top-K pairs (Eq. 1) within each table pair, at most
-    * k·min(|a|, |b|) per pair, are collected to the driver, where a
-    * union-find labels each matched item with the minimum item id of its
-    * component (transitivity, line 8); eids are unique, so no component
-    * spans two table pairs. Matched items are merged per component (members
-    * unioned, centroid recomputed, keys unioned and capped); unmatched items
-    * pass through untouched. Every item moves to table t / 2.
+  /** Algorithm 3 for every table pair (2i, 2i + 1) of one level at once:
+    * one `groupBy(t / 2)` gathers each table pair's items and one kernel
+    * ([[mergePair]]) merges the pair in one task. Eids are unique, so no
+    * component spans two table pairs. Every item moves to table t / 2.
     */
   private def level(items: DataFrame, cfg: MergeConfig): DataFrame = {
-    val spark = items.sparkSession
-    import spark.implicits._
-    val pairs = MutualTopK.mutualPairsByTablePair(items.select("t", "id", "vec", "keys"), cfg.k, cfg.m, cfg.ann)
-      .select("lid", "rid").collect().map(r => (r.getLong(0), r.getLong(1)))
-    val comp = ConnectedComponents.of(pairs).toSeq.toDF("id", "component")
-    val all = items.withColumn("t", shiftright(col("t"), 1))
-    val matchedItems = all
-      .join(comp, Seq("id"))
-      .groupBy("component")
-      .agg(
-        min("t") as "t", // one table pair per component, so one t / 2
-        sort_array(flatten(collect_list("members"))) as "members",
-        VecOps.meanNormalizedCol(collect_list("vec")) as "vec",
-        slice(array_distinct(flatten(collect_list("keys"))), 1, MaxKeys) as "keys",
-      )
-      // component label is the min item id = min member eid, preserving the
-      // id invariant for subsequent levels.
-      .select(col("t"), col("component") as "id", col("members"), col("vec"), col("keys"))
-    val unmatched = all.join(comp.select("id"), Seq("id"), "left_anti")
-    unmatched.unionByName(matchedItems)
+    val kernel = udf((rows: Seq[Row]) => mergePair(rows, cfg))
+    items
+      .groupBy(shiftright(col("t"), 1) as "t")
+      .agg(collect_list(struct(col("t") % 2 === 1 as "right", col("id"), col("vec"), col("keys"), col("members")))
+        as "items")
+      .select(col("t"), explode(kernel(col("items"))) as "it")
+      .select(col("it._1") as "id", col("it._2") as "members", col("it._3") as "vec", col("it._4") as "keys", col("t"))
+  }
+
+  /** Algorithm 3 on one table pair's items (right, id, vec, keys, members),
+    * `right` marking table 2i + 1: the mutual top-K pairs (Eq. 1), at most
+    * k·min(|a|, |b|), then a union-find over them (transitivity, line 8).
+    * Each component becomes one item from its items in id order: the
+    * minimum id, the members sorted, the renormalised centroid and the keys
+    * distinct and capped, so the result does not depend on the order of
+    * `rows`. Unmatched items pass through untouched (line 9).
+    *
+    * @return (id, members, vec, keys) per output item
+    */
+  private def mergePair(rows: Seq[Row], cfg: MergeConfig): Seq[(Long, Seq[Long], Array[Double], Seq[Long])] = {
+    val items = rows.map(r => (r.getBoolean(0), MutualTopK.item(r), r.getSeq[Long](4)))
+    val (right, left) = items.partition(_._1)
+    val pairs = MutualTopK.mutualTopK(left.map(_._2).toIndexedSeq, right.map(_._2).toIndexedSeq, cfg.k, cfg.m,
+      cfg.ann.exact)
+    val component = ConnectedComponents.of(pairs.map(p => (p._1, p._2)))
+    items.groupBy { case (_, it, _) => component.getOrElse(it.id, it.id) }.values.toSeq.map { group =>
+      group.sortBy(_._2.id) match {
+        case Seq((_, it, members)) => (it.id, members, it.vec, it.keys)
+        case its =>
+          (its.head._2.id, its.flatMap(_._3).sorted, VecOps.meanNormalized(its.map(_._2.vec.toSeq)),
+            its.flatMap(_._2.keys).distinct.take(MaxKeys))
+      }
+    }
   }
 }

@@ -7,11 +7,14 @@ import repro.embed.{EmbedConfig, Embedder}
 
 /** Full MultiEM configuration (defaults follow §IV-A where applicable:
   * k = 1, MinPts = 2; m/ε/γ re-centred grids per DESIGN.md).
+  *
+  * @param gamma EER's relative threshold γ, the one every dataset runs at
+  *              (re-centred for our encoder, DESIGN.md)
   */
 case class MultiEmConfig(
     embed: EmbedConfig = EmbedConfig(),
     useEer: Boolean = true,
-    gamma: Double = 0.5,
+    gamma: Double = 0.45,
     sampleRatio: Double = 0.2,
     merge: MergeConfig = MergeConfig(),
     usePruning: Boolean = true,

@@ -98,13 +98,16 @@ object Embedder {
     df.select(col(idCol), gen(featuresUdf(col(textCol))) as "fu")
       .select(col(idCol), col("fu._1") as "feature", col("fu._2") as "unit")
 
-  /** Corpus band-pass weights: (feature, weight) from document frequencies.
+  /** Corpus band-pass weights: (feature, weight) from document frequencies
+    * over `corpusSize` documents.
     *
-    * This table is the stand-in for "what the pretrained model understands":
-    * it is computed once over the whole corpus (all tables concatenated) and
-    * reused for every embedding call in a run, including Algorithm 1's
-    * shuffled re-embeddings — a pretrained LM's token knowledge likewise
-    * does not change when attribute values are permuted.
+    * This table is the stand-in for "what the pretrained model understands".
+    * The representation step (`MultiEm.representWithKeys`) builds it once
+    * over the whole corpus (all tables concatenated, D = the entity count).
+    * Algorithm 1 (`AttributeSelection.select`) builds its own over the
+    * unshuffled sample (D = the n sampled rows) and reuses it for every
+    * shuffled variant — a pretrained LM's token knowledge likewise does not
+    * change when attribute values are permuted. So EER's scores depend on n.
     */
   def featureWeights(feats: DataFrame, idCol: String, corpusSize: Long): DataFrame = {
     val d = math.max(1L, corpusSize).toDouble

@@ -67,11 +67,6 @@ object VecOps {
   /** Column-level cosine distance between two vector columns. */
   def cosineDistCol(a: Column, b: Column): Column = cosineDistUdf(a, b)
 
-  /** Column-level centroid over `collect_list`-ed vectors. */
-  def meanNormalizedCol(vs: Column): Column = meanUdf(vs)
-
   private val cosineDistUdf =
     udf((a: Seq[Double], b: Seq[Double]) => cosineDist(a, b))
-  private val meanUdf =
-    udf((vs: Seq[Seq[Double]]) => meanNormalized(vs))
 }

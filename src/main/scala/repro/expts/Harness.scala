@@ -91,11 +91,6 @@ object Harness {
 
   // ------------------------------------------------------------- MultiEM --
 
-  /** EER's relative threshold γ for every dataset (re-centred for our
-    * encoder, DESIGN.md).
-    */
-  val Gamma = 0.45
-
   /** EER's sample ratio r (Algorithm 1 line 2): 0.05 for Person, the paper's
     * 5 M-entity dataset, and 0.2 for the others.
     */
@@ -104,7 +99,6 @@ object Harness {
   def multiEmConfig(entities: Long, t: Tuned, sampleRatio: Double, useEer: Boolean = true): MultiEmConfig =
     MultiEmConfig(
       useEer = useEer,
-      gamma = Gamma,
       sampleRatio = sampleRatio,
       merge = MergeConfig(k = 1, m = t.m, ann = annFor(entities)),
       prune = PruneConfig(eps = t.eps, minPts = 2),

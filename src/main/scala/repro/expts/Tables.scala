@@ -139,7 +139,7 @@ object Tables {
     for (bd <- Datasets.all(spark)) {
       val ds = bd.ds
       val union = ds.tables.reduce(_ unionByName _)
-      val cfg = MultiEmConfig(gamma = Harness.Gamma, sampleRatio = Harness.sampleRatioFor(ds.name))
+      val cfg = MultiEmConfig(sampleRatio = Harness.sampleRatioFor(ds.name))
       val sel = AttributeSelection.select(union, "eid", ds.attrs, cfg.sampleRatio, cfg.gamma, cfg.embed, cfg.seed)
       val paper = PaperNumbers.tableVII(ds.name)
       sb ++= s"${pad(ds.name, 12)} ours: ${sel.selected.mkString(", ")}\n"

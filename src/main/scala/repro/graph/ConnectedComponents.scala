@@ -2,10 +2,11 @@ package repro.graph
 
 import scala.collection.mutable
 
-/** Connected components of a small edge list, by union-find on the driver —
+/** Connected components of a small edge list, by union-find in one JVM —
   * the transitivity step of the merging phase (Algorithm 3 line 8 "Merge
-  * based on the transitivity") over one merge's mutual pairs, and the
-  * dendrogram cut of the MSCD-HAC baseline.
+  * based on the transitivity") over one table pair's mutual pairs, inside
+  * that pair's merge task, and the dendrogram cut of the MSCD-HAC baseline
+  * on the driver.
   *
   * Every union links the larger root under the smaller one, so each root is
   * the minimum vertex of its component; `find` compresses paths iteratively,

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, References, SparkSpec, TestUtil}
 import repro.TestUtil.{planar, v, vecDf, withConf}
 import repro.baselines.EmbeddingThresholdMatcher
-import repro.core.{AttributeSelection, Merging, MultiEm}
+import repro.core.{AttributeSelection, MergeConfig, Merging, MultiEm}
 import repro.data.EmDataGen
 import repro.embed.{EmbedConfig, VecOps}
 
@@ -136,24 +136,6 @@ class MutualTopKSpec extends SparkSpec {
     assert(out == pts.map { case (i, _) => (i, 100L + i) }.toSet)
   }
 
-  test("by-table-pair search equals mutualPairs on each table pair (colliding keys)") {
-    // Five tables: 0 meets 1, 2 meets 3, 4 meets none. Keys collide across
-    // all tables, and each odd table sits nearer to an even table of another
-    // pair than to its partner.
-    import spark.implicits._
-    val offset = Seq(0.0, 0.04, 0.05, 0.01, 0.02)
-    val items = (for (t <- 0 until 5; i <- 0 until 6)
-      yield (t, t * 10L + i, planar(i * 0.4 + offset(t)).toSeq, Seq(i % 3L, 100L + i)))
-      .toDF("t", "id", "vec", "keys")
-    def table(t: Int) = items.filter(col("t") === t).select("id", "vec", "keys")
-    for (ann <- Seq(AnnConfig(exact = true), AnnConfig(exact = false))) {
-      val perPair = pairsOf(MutualTopK.mutualPairs(table(0), table(1), 1, 0.3, ann)) ++
-        pairsOf(MutualTopK.mutualPairs(table(2), table(3), 1, 0.3, ann))
-      assert(perPair.size == 12, ann)
-      assert(pairsOf(MutualTopK.mutualPairsByTablePair(items, 1, 0.3, ann)) == perPair, ann)
-    }
-  }
-
   // ----------------------------------------------------------- by source --
 
   private val byPair = EmbeddingThresholdMatcher(0.3)
@@ -252,6 +234,7 @@ class MutualTopKSpec extends SparkSpec {
       v(1, 0, 1, 0), v(1, 1, 1, 1), new Array[Double](4))
     val rnd = new scala.util.Random(14)
     var pairs = 0
+    var merged = 0
     withConf(spark, "spark.sql.shuffle.partitions" -> "1", "spark.sql.codegen.wholeStage" -> "false") {
       for (c <- 0 until 50) {
         val nTables = 2 + rnd.nextInt(4)
@@ -269,14 +252,12 @@ class MutualTopKSpec extends SparkSpec {
           val cols = Seq("lid", "rid", "dist")
           val want = Seq(
             References.mutualPairs(table(0), table(1), k, m, cfg).select(cols.map(col): _*),
-            References.mutualPairsByTablePair(items, k, m, cfg).select((cols :+ "lpair" :+ "rpair").map(col): _*),
             References.mutualPairsBySource(items, k, m, cfg).select((cols :+ "lsource" :+ "rsource").map(col): _*))
           val got = Seq(
             MutualTopK.mutualPairs(table(0), table(1), k, m, cfg),
-            MutualTopK.mutualPairsByTablePair(items, k, m, cfg),
             MutualTopK.mutualPairsBySource(items, k, m, cfg))
           for ((w, g) <- want.zip(got)) assert(g.columns.toSeq == w.columns.toSeq, clue)
-          // All six results in one collect: (query, lid, rid, dist, group…),
+          // All four results in one collect: (query, lid, rid, dist, group…),
           // the two-table entry's missing group columns padded with -1.
           val all = (want ++ got).zipWithIndex.map { case (df, q) =>
             df.select((lit(q) +: df.columns.toSeq.map(col)) ++ Seq.fill(5 - df.columns.length)(lit(-1)): _*)
@@ -285,20 +266,35 @@ class MutualTopKSpec extends SparkSpec {
             q -> rs.map(r => (r.getLong(1), r.getLong(2), java.lang.Double.doubleToRawLongBits(r.getDouble(3)),
               r.getInt(4), r.getInt(5))).sorted.toSeq
           }.withDefaultValue(Seq.empty)
-          for (e <- 0 until 3) {
+          for (e <- 0 until 2) {
             pairs += byQuery(e).size
-            assert(byQuery(e + 3) == byQuery(e), s"$clue entry $e")
+            assert(byQuery(e + 2) == byQuery(e), s"$clue entry $e")
           }
+          // By table pair: the whole merge hierarchy, whose levels run the
+          // kernel on each table pair, against the windowed search per level
+          // merged on the driver; rows bit for bit, keys in order.
+          val mc = MergeConfig(k = k, m = m, ann = cfg)
+          def bits(rs: Seq[(Long, Seq[Long], Seq[Double], Seq[Long])]) =
+            rs.map(r => (r._1, r._2, r._3.map(java.lang.Double.doubleToRawLongBits), r._4))
+          val wantMerged = bits(References.hierarchical(items.withColumn("members", array(col("id"))), nTables, mc))
+          val gotMerged = bits(Merging.hierarchical((0 until nTables).map(t => items.filter(col("t") === t)
+            .select(col("id") as "eid")), items.withColumnRenamed("id", "eid"), mc).collect()
+            .map(r => (r.getLong(0), r.getSeq[Long](1), r.getSeq[Double](2), r.getSeq[Long](3))).sortBy(_._1).toSeq)
+          merged += wantMerged.count(_._2.size > 1)
+          assert(gotMerged == wantMerged, s"$clue hierarchical")
         }
       }
     }
+    info(s"$pairs pairs, $merged merged items")
     assert(pairs > 500)
+    assert(merged > 200)
   }
 
   test("blocking recall: keyed level-1 pairs recover the exact pairs on Geo and Music-20") {
     // The first merge level of the benchmark workloads (seed 1, m = 0.45,
-    // k = 1, γ = 0.45, sample ratio 0.2), searched with and without blocking
-    // keys by the same kernel, so the gap is the keys' alone. Measured
+    // k = 1, γ = 0.45, sample ratio 0.2): each level-1 table pair searched
+    // with and without blocking keys by `mutualPairs`, the kernel a merge
+    // level runs on each table pair, so the gap is the keys' alone. Measured
     // recall: Geo 1.000, Music-20 1.000; each floor is 0.05 below it.
     val floors = Map("Geo" -> 0.95, "Music-20" -> 0.95)
     for (ds <- Seq(EmDataGen.geo(spark, 0.1, 1L), EmDataGen.music(spark, 75L, 1L, "Music-20"))) {
@@ -307,9 +303,12 @@ class MutualTopKSpec extends SparkSpec {
       val union = ds.tables.reduce(_ unionByName _)
       val sel = AttributeSelection.select(union, "eid", ds.attrs, 0.2, 0.45, EmbedConfig(), 1L)
       val emb = MultiEm.representWithKeys(union, sel.selected, EmbedConfig(), keyed)
-      val items = Merging.levelOneItems(ds.tables, emb).select("t", "id", "vec", "keys")
-      val exact = pairsOf(MutualTopK.mutualPairsByTablePair(items, 1, 0.45, AnnConfig(exact = true)))
-      val blocked = pairsOf(MutualTopK.mutualPairsByTablePair(items, 1, 0.45, keyed))
+      val items = Merging.levelOneItems(ds.tables, emb)
+      def table(t: Int) = items.filter(col("t") === t).select("id", "vec", "keys")
+      def levelOne(ann: AnnConfig) = (0 until ds.tables.size / 2)
+        .map(p => pairsOf(MutualTopK.mutualPairs(table(2 * p), table(2 * p + 1), 1, 0.45, ann))).reduce(_ ++ _)
+      val exact = levelOne(AnnConfig(exact = true))
+      val blocked = levelOne(keyed)
       val recall = (blocked & exact).size.toDouble / exact.size
       info(f"${ds.name}: recall $recall%.4f of ${exact.size} exact pairs (${blocked.size} keyed)")
       assert(exact.size >= 50, ds.name)

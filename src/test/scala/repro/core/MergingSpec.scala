@@ -2,10 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, TestUtil}
+import repro.{References, SparkSpec, TestUtil}
 import repro.TestUtil.{embDf, planar, withConf}
-import repro.ann.{AnnConfig, MutualTopK}
-import repro.embed.VecOps
+import repro.ann.AnnConfig
 
 class MergingSpec extends SparkSpec {
 
@@ -102,7 +101,8 @@ class MergingSpec extends SparkSpec {
     // survive. Key i is shared by item i of every table, and each odd table
     // sits nearer to an even table of another pair than to its partner, so
     // a level search that crosses table pairs changes the result. Rows must
-    // agree bit for bit, keys in order, at any shuffle-partition count.
+    // agree bit for bit, keys in order, at any shuffle-partition count, and
+    // `hierarchical`'s rows must not change with the partition count.
     import spark.implicits._
     val offset = Seq(0.0, 0.04, 0.05, 0.01, 0.02)
     val embs = (0 until 5).map { t =>
@@ -123,15 +123,21 @@ class MergingSpec extends SparkSpec {
           .toVector
       cur.head
     }
-    for (exact <- Seq(true, false); partitions <- Seq(1, 2, 7)) {
+    for (exact <- Seq(true, false)) {
       val c = cfg.copy(ann = AnnConfig(exact = exact))
-      val clue = s"exact=$exact partitions=$partitions"
-      withConf(spark, "spark.sql.shuffle.partitions" -> partitions.toString, "spark.sql.adaptive.enabled" -> "false") {
-        val want = rowsOf(perPair(c))
-        assert(want.exists(_._2.size == 5), clue)
-        assert(want.exists(_._4.size == Merging.MaxKeys), clue)
-        assert(rowsOf(Merging.hierarchical(embs.map(_.select("eid")), embs.reduce(_ unionByName _), c)) == want, clue)
+      val byPartitions = for (partitions <- Seq(1, 2, 7, 16, 64)) yield {
+        val clue = s"exact=$exact partitions=$partitions"
+        withConf(spark, "spark.sql.shuffle.partitions" -> partitions.toString, "spark.sql.adaptive.enabled" -> "false") {
+          val want = rowsOf(perPair(c))
+          assert(want.exists(_._2.size == 5), clue)
+          assert(want.exists(_._4.size == Merging.MaxKeys), clue)
+          val got = rowsOf(Merging.hierarchical(embs.map(_.select("eid")), embs.reduce(_ unionByName _), c))
+          assert(got == want, clue)
+          partitions -> got
+        }
       }
+      for ((partitions, got) <- byPartitions.tail)
+        assert(got == byPartitions.head._2, s"exact=$exact partitions=$partitions differs from 1")
     }
   }
 
@@ -143,25 +149,6 @@ class MergingSpec extends SparkSpec {
     assert(out.find(_.getSeq[Long](1).size == 4).get.getLong(0) == 1L)
   }
 
-  /** Algorithm 3 built on the driver from separately materialised mutual
-    * pairs: union-find over the pairs, members unioned, centroid of the
-    * members' item vectors, unmatched items passed through.
-    */
-  private def referenceMerge(a: DataFrame, b: DataFrame, cfg: MergeConfig): Map[Long, (Seq[Long], Seq[Double])] = {
-    val pairs = MutualTopK.mutualPairs(a.select("id", "vec", "keys"), b.select("id", "vec", "keys"), cfg.k, cfg.m, cfg.ann)
-      .localCheckpoint().collect().map(r => (r.getLong(0), r.getLong(1)))
-    val items = a.unionByName(b).collect().map(r => r.getLong(0) -> (r.getSeq[Long](1), r.getSeq[Double](2))).toMap
-    val parent = scala.collection.mutable.Map(items.keys.map(i => i -> i).toSeq: _*)
-    def find(x: Long): Long = if (parent(x) == x) x else { val r = find(parent(x)); parent(x) = r; r }
-    pairs.foreach { case (l, r) =>
-      val (x, y) = (find(l), find(r)); if (x != y) parent(math.max(x, y)) = math.min(x, y)
-    }
-    items.keys.groupBy(find).map { case (root, ids) =>
-      val its = ids.toSeq.sorted.map(items)
-      root -> (its.flatMap(_._1).sorted, VecOps.meanNormalized(its.map(_._2)).toSeq)
-    }
-  }
-
   test("twoTableMerge equals a merge over separately materialised mutual pairs (ties, duplicates)") {
     // Duplicate vectors on both sides and items equidistant from two
     // partners: tie-breaking by partner id must pick the same pairs.
@@ -171,7 +158,8 @@ class MergingSpec extends SparkSpec {
     for (c <- Seq(cfg, cfg.copy(k = 2), cfg.copy(k = 3, m = 0.05))) {
       val got = Merging.twoTableMerge(a, b, c).collect()
         .map(r => r.getLong(0) -> (r.getSeq[Long](1), r.getSeq[Double](2))).toMap
-      val ref = referenceMerge(a, b, c)
+      val ref = References.hierarchical(a.withColumn("t", lit(0)) unionByName b.withColumn("t", lit(1)), 2, c)
+        .map(r => r._1 -> (r._2, r._3)).toMap
       assert(got.keySet == ref.keySet, s"k=${c.k}")
       got.foreach { case (id, (members, vec)) =>
         assert(members == ref(id)._1, s"k=${c.k} item $id")
