@@ -13,7 +13,7 @@ import repro.embed.VecOps
   *  - `exact = true`: every left × right pair of a group is a candidate
   *    (test scale; recall oracle);
   *  - `exact = false`: signature blocking — entities carry `keys`
-  *    (see `Embedder.blockingKeys`: pairwise combos of their top-weighted
+  *    (see `Embedder.keys`: pairwise combos of their top-weighted
   *    features + rare single features) and the candidates are the pairs
   *    that share at least one key. Near-duplicates share top features even
   *    under typos, so they collide on at least one key; all candidates are

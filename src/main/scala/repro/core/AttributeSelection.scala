@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.embed.{EmbedConfig, Embedder, VecOps}
+import repro.embed.{EmbedConfig, Embedder, VecOps, WeightTable}
 
 /** Result of Algorithm 1: per-attribute significance scores and selection.
   *
@@ -18,9 +18,10 @@ case class AttrSelection(scores: Map[String, Double], selected: Seq[String])
   *
   * For each attribute: shuffle its values across the (sampled) entities,
   * re-embed, and average the per-entity cosine distance between old and new
-  * embeddings. The base and all |A| shuffled variants come from one
-  * self-join of the numbered sample with itself shifted by one row, are
-  * embedded in one stacked pass and are scored by one `groupBy(attr)`.
+  * embeddings. Spark samples and numbers the rows, and one `collect` brings
+  * the r·N numbered rows to the driver, which builds the sample's weight
+  * table and scores the base and all |A| shuffled variants with the
+  * encoder kernel (`Embedder.vector`).
   * Attributes whose shuffled-displacement score is large carry signal the
   * encoder responds to (titles, names); attributes whose score is small
   * (unique IDs, ubiquitous codes) are dropped.
@@ -48,47 +49,35 @@ object AttributeSelection {
     require(attrs.nonEmpty, "no attributes to select from")
     if (attrs.size == 1) return AttrSelection(Map(attrs.head -> 1.0), attrs)
 
-    // Sampled on the input partitions, then gathered into the one partition
-    // the numbering window needs anyway.
-    val sampled = df.sample(withReplacement = false, math.min(1.0, sampleRatio), seed)
-      .select((col(idCol) +: attrs.map(col)): _*)
-      .coalesce(1)
-      .localCheckpoint()
-    val n = sampled.count()
+    // Derangement-ish shuffle: order the sampled rows by a salted hash and
+    // give each row the attribute value of its predecessor (a cyclic shift
+    // of a pseudo-random permutation). The numbered sample is small (r·N
+    // rows) and is scored on the driver. Each value is collected as
+    // `Embedder.serialize` writes it, so a text is its values joined by a
+    // space.
+    val rows = df.sample(withReplacement = false, math.min(1.0, sampleRatio), seed)
+      .select((row_number().over(Window.orderBy(hash(col(idCol), lit(seed.toInt)))) as "__rn") +:
+        attrs.map(a => lower(coalesce(col(a).cast("string"), lit("")))): _*)
+      .collect()
+      .sortBy(_.getInt(0))
+      .map(r => attrs.indices.map(i => r.getString(i + 1)).toVector)
+    val n = rows.length
     if (n < 2) return AttrSelection(attrs.map(_ -> 1.0).toMap, attrs)
 
     // The corpus weight table is computed once over the unshuffled sample and
     // reused for every variant (the encoder's "knowledge" must not change
     // when values are permuted).
-    val feats = Embedder.explodeFeatures(Embedder.serialize(sampled, attrs), idCol, "text", cfg)
-    val weights = Embedder.featureWeights(feats, idCol, n)
-
-    // Derangement-ish shuffle: order rows by a salted hash and give each row
-    // the attribute value of its predecessor (cyclic shift of a pseudo-random
-    // permutation) — a pure DataFrame formulation of "shuffle the values".
-    // One self-join pairs every row with its donor; a generator then emits
-    // the base (variant "", unshuffled) and the |A| variants, each taking one
-    // attribute from the donor, and one embedding pass encodes all of them.
-    val withRn = sampled.withColumn("__rn", row_number().over(Window.orderBy(hash(col(idCol), lit(seed.toInt)))))
-    val donor = withRn.select(((col("__rn") % n) + 1) +: attrs.map(col): _*)
-      .toDF("__rn" +: attrs.map("__donor_" + _): _*)
-    val variants = ("" +: attrs).map { v =>
-      struct((lit(v) as "__attr") +: attrs.map(a => col(if (a == v) "__donor_" + a else a) as a): _*)
-    }
-    val stacked = withRn.join(donor, Seq("__rn"))
-      .select(col(idCol), explode(array(variants: _*)) as "__v")
-      .select(struct(col("__v.__attr"), col(idCol)) as "__key", col("__v.*"))
-    val emb = Embedder.embedWithWeights(Embedder.serialize(stacked, attrs), "__key", "text", weights, cfg)
-      .select(col("__key.__attr") as "__attr", col(s"__key.$idCol") as idCol, col("vec"))
-      .localCheckpoint()
-    val base = emb.filter(col("__attr") === "").select(col(idCol), col("vec") as "vec0")
-    val scores = base
-      .join(emb.filter(col("__attr") =!= ""), Seq(idCol))
-      .groupBy("__attr")
-      .agg(avg(VecOps.cosineDistCol(col("vec0"), col("vec"))) as "s")
-      .collect()
-      .map(r => r.getString(0) -> r.getDouble(1))
-      .toMap
+    val base = rows.map(_.mkString(" "))
+    val dfs = base.toSeq.flatMap(Embedder.distinctFeatures).groupMapReduce(identity)(_ => 1L)(_ + _)
+    val table = WeightTable.ofCounts(dfs, n, cfg.dim)
+    val vec0 = base.map(Embedder.vector(_, table))
+    val scores = attrs.indices.map { a =>
+      val dist = rows.indices.map { i =>
+        val variant = rows(i).updated(a, rows((i + n - 1) % n)(a)).mkString(" ")
+        VecOps.cosineDist(vec0(i), Embedder.vector(variant, table))
+      }
+      attrs(a) -> dist.sum / n
+    }.toMap
 
     AttrSelection(scores, selectByScore(scores, attrs, gamma))
   }

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.ann.AnnConfig
-import repro.embed.{EmbedConfig, Embedder}
+import repro.embed.{EmbedConfig, Embedder, WeightTable}
 
 /** Full MultiEM configuration (defaults follow §IV-A where applicable:
   * k = 1, MinPts = 2; m/ε/γ re-centred grids per DESIGN.md).
@@ -57,10 +57,12 @@ object MultiEm {
   }
 
   /** Representation phase as a reusable unit: serialize the selected
-    * attributes, explode their features once, and derive from that one
-    * frame the corpus weight table, the embeddings and (for approximate
-    * search) the blocking keys. Fails on duplicate eids, which would
-    * otherwise multiply rows in every later join on eid.
+    * attributes, count each feature's document frequency in one
+    * `groupBy(feature)` over each text's distinct features, collect the
+    * corpus weight table (D = the entity count) to the driver, and apply the
+    * encoder kernel (`Embedder.vector`, and `Embedder.keys` for approximate
+    * search) to every row in one narrow pass. Fails on duplicate eids, which
+    * would otherwise multiply rows in every later join on eid.
     *
     * @return (eid, vec, keys), one row per eid; equal to composing
     *         `Embedder.explodeFeatures` → `featureWeights` →
@@ -72,22 +74,24 @@ object MultiEm {
       embedCfg: EmbedConfig,
       ann: AnnConfig,
   ): DataFrame = {
-    val ser = Embedder.serialize(union, attrs)
-    val counts = union.agg(count(lit(1)), countDistinct(col("eid"))).head()
+    // The union has a partition per input partition of every table; fewer
+    // partitions mean fewer tasks in each of the three passes below.
+    val sc = union.sparkSession.sparkContext
+    val ser = Embedder.serialize(union, attrs).coalesce(sc.defaultParallelism)
+    val counts = ser.agg(count(lit(1)), countDistinct(col("eid"))).head()
     val (rows, eids) = (counts.getLong(0), counts.getLong(1))
     require(rows == eids,
       s"duplicate eids: ${rows - eids} of $rows rows repeat an eid; eids must be globally unique across tables")
-    // A feature-less eid keeps one null-feature row, which the weights skip.
-    // The union has a partition per input partition of every table; fewer
-    // partitions mean fewer tasks in every stage that reads the features.
-    val feats = Embedder.explodeFeaturesOuter(ser, "eid", "text")
-      .coalesce(union.sparkSession.sparkContext.defaultParallelism).localCheckpoint()
-    // Read only by the one job that materialises the embeddings (the vector
-    // and key kernels share its exchange).
-    val weights = Embedder.featureWeights(feats.filter(col("feature").isNotNull), "eid", rows)
-    val e = Embedder.vectorsOf(feats, "eid", weights, embedCfg)
-    if (ann.exact) e.withColumn("keys", array().cast("array<long>"))
-    else e.join(Embedder.keysOf(feats, "eid", weights, ann.topB, ann.rareDf), Seq("eid"))
+    val distinctFeatures = udf((text: String) => Embedder.distinctFeatures(text))
+    val dfs = ser.select(explode(distinctFeatures(col("text"))) as "feature").groupBy("feature").count()
+      .collect().map(r => r.getString(0) -> r.getLong(1))
+    val table = sc.broadcast(WeightTable.ofCounts(dfs, rows, embedCfg.dim))
+    val encode = udf { (eid: Long, text: String) =>
+      val t = table.value
+      (Embedder.vector(text, t), if (ann.exact) Array.empty[Long] else Embedder.keys(eid, text, t, ann.topB, ann.rareDf))
+    }
+    ser.select(col("eid"), encode(col("eid"), col("text")) as "e")
+      .select(col("eid"), col("e._1") as "vec", col("e._2") as "keys")
   }
 
   /** Run MultiEM over the S source tables of a dataset.

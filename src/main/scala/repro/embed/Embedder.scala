@@ -1,7 +1,10 @@
 package repro.embed
 
-import org.apache.spark.sql.{Column, DataFrame}
+import java.nio.charset.StandardCharsets
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.Platform
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 
 /** Configuration for the hashed bag-of-features sentence encoder.
   *
@@ -11,8 +14,7 @@ import org.apache.spark.sql.functions._
 case class EmbedConfig(dim: Int = 128)
 
 /** Sentence-BERT substitute: a deterministic, corpus-aware hashed
-  * bag-of-features encoder, built from DataFrame ops (explode / groupBy /
-  * join) so representation is itself distributed dataflow.
+  * bag-of-features encoder.
   *
   * Features per entity text: lower-cased word tokens plus char-trigrams of
   * each token. Each feature f carries weight
@@ -25,7 +27,12 @@ case class EmbedConfig(dim: Int = 128)
   * df≈1) and ubiquitous low-information tokens (df≈D) both contribute
   * little, while mid-frequency content words (titles, artists, names)
   * dominate the embedding. Features are hashed into `dim` signed buckets
-  * (murmur3 via Spark's `hash`) and the vector is L2-normalised.
+  * (murmur3, as Spark's `hash`) and the vector is L2-normalised.
+  *
+  * The encoder is one pure-Scala kernel, [[vector]] and [[keys]] of one
+  * text under a driver-held [[WeightTable]]; Spark ships the table to its
+  * tasks as a broadcast and applies the kernel in one narrow pass, one
+  * output row per input row.
   */
 object Embedder {
 
@@ -80,56 +87,135 @@ object Embedder {
 
   private val featuresUdf = udf((text: String) => featuresOf(text))
 
-  /** Explode a (id, textCol) frame into (id, feature, unit) rows.
+  /** Explode a (id, textCol) frame into (id, feature, unit) rows; a text
+    * with no feature yields no row.
     *
     * @param cfg unused: features do not depend on the embedding dimension
     */
   def explodeFeatures(df: DataFrame, idCol: String, textCol: String, cfg: EmbedConfig): DataFrame =
-    explodeWith(explode)(df, idCol, textCol)
-
-  /** As [[explodeFeatures]], but an id whose text yields no feature keeps one
-    * row with a null feature and unit: the frame the vector and key kernels
-    * read, so that every input id reaches their output.
-    */
-  private[repro] def explodeFeaturesOuter(df: DataFrame, idCol: String, textCol: String): DataFrame =
-    explodeWith(explode_outer)(df, idCol, textCol)
-
-  private def explodeWith(gen: Column => Column)(df: DataFrame, idCol: String, textCol: String) =
-    df.select(col(idCol), gen(featuresUdf(col(textCol))) as "fu")
+    df.select(col(idCol), explode(featuresUdf(col(textCol))) as "fu")
       .select(col(idCol), col("fu._1") as "feature", col("fu._2") as "unit")
 
-  /** Corpus band-pass weights: (feature, weight) from document frequencies
-    * over `corpusSize` documents.
+  /** The band-pass weight min(log(1 + df), log(1 + D/df)) of a feature in
+    * `df` of `corpusSize` documents. `StrictMath.log` is what Spark's `log`
+    * computes, so a frame and a driver table built from it agree bit for bit.
+    */
+  def bandPass(df: Long, corpusSize: Long): Double = {
+    val d = math.max(1L, corpusSize).toDouble
+    math.min(StrictMath.log(1.0 + df), StrictMath.log(1.0 + d / df))
+  }
+
+  private def bandPassUdf(corpusSize: Long) = udf((df: Long) => bandPass(df, corpusSize))
+
+  /** Corpus band-pass weights: (feature, df, weight) from document
+    * frequencies over `corpusSize` documents.
     *
     * This table is the stand-in for "what the pretrained model understands".
     * The representation step (`MultiEm.representWithKeys`) builds it once
-    * over the whole corpus (all tables concatenated, D = the entity count).
-    * Algorithm 1 (`AttributeSelection.select`) builds its own over the
-    * unshuffled sample (D = the n sampled rows) and reuses it for every
-    * shuffled variant — a pretrained LM's token knowledge likewise does not
-    * change when attribute values are permuted. So EER's scores depend on n.
+    * over the whole corpus (all tables concatenated, D = the entity count),
+    * as a driver-held [[WeightTable]] from the same [[bandPass]]. Algorithm 1
+    * (`AttributeSelection.select`) builds its own over the unshuffled sample
+    * (D = the n sampled rows) and reuses it for every shuffled variant — a
+    * pretrained LM's token knowledge likewise does not change when attribute
+    * values are permuted. So EER's scores depend on n.
     */
-  def featureWeights(feats: DataFrame, idCol: String, corpusSize: Long): DataFrame = {
-    val d = math.max(1L, corpusSize).toDouble
+  def featureWeights(feats: DataFrame, idCol: String, corpusSize: Long): DataFrame =
     feats
       .groupBy("feature")
       .agg(countDistinct(col(idCol)) as "df")
-      .withColumn("weight", least(log(lit(1.0) + col("df")), log(lit(1.0) + lit(d) / col("df"))))
+      .withColumn("weight", bandPassUdf(corpusSize)(col("df")))
       .select("feature", "df", "weight")
+
+  // ------------------------------------------------------------- kernel --
+
+  /** Spark's `hash` seed: the kernel hashes features as Spark's `hash` does. */
+  private val HashSeed = 42
+
+  private def sparkHash(s: String): Int = {
+    val b = s.getBytes(StandardCharsets.UTF_8)
+    Murmur3_x86_32.hashUnsafeBytes(b, Platform.BYTE_ARRAY_OFFSET, b.length, HashSeed)
   }
+
+  /** Bucket of a feature: Spark's `pmod(hash(feature), dim)`. */
+  def bucketOf(feature: String, dim: Int): Int = Math.floorMod(sparkHash(feature), dim)
+
+  /** Sign of a feature: +1 when Spark's `pmod(hash(feature + "#sign"), 2)` is 0, else −1. */
+  def signOf(feature: String): Double = if (Math.floorMod(sparkHash(feature + "#sign"), 2) == 0) 1.0 else -1.0
+
+  /** The distinct features of one text, the unit of a document frequency. */
+  def distinctFeatures(text: String): Seq[String] = featuresOf(text).map(_._1).distinct
 
   /** Blocking keys for approximate candidate generation (meta-blocking, the
     * HNSW substitute's first stage): each entity's `topB` heaviest features
     * yield C(topB, 2) pairwise signature keys — near-duplicates share most
     * top features, so they collide on at least one combo even under typos —
     * plus each individually *rare* top feature (df ≤ rareDf) as a key of its
-    * own, which buys recall at negligible bucket cost. The texts are
-    * exploded once; see [[keysOf]].
+    * own, which buys recall at negligible bucket cost. An entity with no
+    * weighted feature (an empty text, or features all absent from the table)
+    * gets a single sentinel key unique to its id, so it collides with nothing.
+    */
+  def keys(id: Long, text: String, table: WeightTable, topB: Int, rareDf: Long): Array[Long] = {
+    val top = featuresOf(text)
+      .flatMap { case (f, unit) => table.features.get(f).map(w => (f, w.df, unit * w.weight)) }
+      .distinctBy(_._1)
+      .sortBy { case (f, _, w) => (-w, f) }
+      .take(topB)
+    val combos = for {
+      i <- top.indices; j <- top.indices if i < j
+    } yield {
+      val (a, b) = (top(i)._1, top(j)._1)
+      val (lo, hi) = if (a < b) (a, b) else (b, a)
+      scala.util.hashing.MurmurHash3.stringHash(lo + "\u0000" + hi).toLong << 20
+    }
+    val rare = top.filter(_._2 <= rareDf)
+      .map(t => scala.util.hashing.MurmurHash3.stringHash(t._1).toLong << 20 | 1L)
+    val ks = (combos ++ rare).distinct
+    if (ks.nonEmpty) ks.toArray else Array(Long.MinValue | id)
+  }
+
+  /** The embedding of one text: sign · unit · weight of each weighted
+    * feature added into its bucket in [[featuresOf]] order, then
+    * L2-normalised. A text with no weighted feature gets the zero vector.
+    */
+  def vector(text: String, table: WeightTable): Array[Double] = {
+    val v = new Array[Double](table.dim)
+    featuresOf(text).foreach { case (f, unit) =>
+      table.features.get(f).foreach(w => v(w.bucket) += w.sign * unit * w.weight)
+    }
+    VecOps.normalize(v)
+  }
+
+  /** The weight table of a `featureWeights` frame, collected to the driver. */
+  private def collectTable(weights: DataFrame, cfg: EmbedConfig): WeightTable =
+    WeightTable.of(weights.select("feature", "df", "weight").collect()
+      .map(r => (r.getString(0), r.getLong(1), r.getDouble(2))), cfg.dim)
+
+  /** Embed using a precomputed weight table (a `featureWeights` frame): the
+    * table is collected to the driver and [[vector]] is applied to each row
+    * in one narrow pass.
     *
-    * @return (idCol, keys: Array[Long]) — one row per input id; entities
-    *         with no weighted feature (an empty text, or features all absent
-    *         from `weights`) get a single sentinel key unique to them (so
-    *         they collide with nothing).
+    * @return (idCol, vec: Array[Double] of length cfg.dim), one row per input
+    *         row, so ids must be unique; an id with no weighted feature gets
+    *         the zero vector.
+    */
+  def embedWithWeights(
+      df: DataFrame,
+      idCol: String,
+      textCol: String,
+      weights: DataFrame,
+      cfg: EmbedConfig,
+  ): DataFrame = {
+    val table = df.sparkSession.sparkContext.broadcast(collectTable(weights, cfg))
+    val vecUdf = udf((text: String) => vector(text, table.value))
+    df.select(col(idCol), vecUdf(col(textCol)) as "vec")
+  }
+
+  /** [[keys]] of each row under a precomputed weight table (a
+    * `featureWeights` frame), collected to the driver and applied in one
+    * narrow pass.
+    *
+    * @return (idCol, keys: Array[Long]), one row per input row, so ids must
+    *         be unique
     * @param cfg unused: keys do not depend on the embedding dimension
     */
   def blockingKeys(
@@ -140,89 +226,30 @@ object Embedder {
       cfg: EmbedConfig,
       topB: Int,
       rareDf: Long,
-  ): DataFrame =
-    keysOf(explodeFeaturesOuter(df, idCol, textCol), idCol, weights, topB, rareDf)
-
-  /** The key kernel of [[blockingKeys]] over an [[explodeFeaturesOuter]]
-    * frame: one left join onto the weights and one `groupBy(id)`, so each id
-    * of `feats` gets exactly one row.
-    */
-  private[repro] def keysOf(feats: DataFrame, idCol: String, weights: DataFrame, topB: Int, rareDf: Long): DataFrame = {
-    val keysUdf = udf((id: Long, fws: Seq[org.apache.spark.sql.Row]) => {
-      val top = fws
-        .map(r => (r.getString(0), r.getLong(1), r.getDouble(2)))
-        .distinctBy(_._1)
-        .sortBy { case (f, _, w) => (-w, f) }
-        .take(topB)
-      val combos = for {
-        i <- top.indices; j <- top.indices if i < j
-      } yield {
-        val (a, b) = (top(i)._1, top(j)._1)
-        val (lo, hi) = if (a < b) (a, b) else (b, a)
-        scala.util.hashing.MurmurHash3.stringHash(lo + "\u0000" + hi).toLong << 20
-      }
-      val rare = top.filter(_._2 <= rareDf)
-        .map(t => scala.util.hashing.MurmurHash3.stringHash(t._1).toLong << 20 | 1L)
-      val keys = (combos ++ rare).distinct
-      if (keys.nonEmpty) keys.toArray else Array(Long.MinValue | id)
-    })
-    feats
-      .join(weights, Seq("feature"), "left")
-      .groupBy(col(idCol))
-      // null-feature and unweighted rows add nothing (collect_list skips nulls)
-      .agg(collect_list(when(col("weight").isNotNull,
-        struct(col("feature"), col("df"), (col("unit") * col("weight")) as "w"))) as "fws")
-      .select(col(idCol), keysUdf(col(idCol), col("fws")) as "keys")
+  ): DataFrame = {
+    val table = df.sparkSession.sparkContext.broadcast(collectTable(weights, cfg))
+    val keysUdf = udf((id: Long, text: String) => keys(id, text, table.value, topB, rareDf))
+    df.select(col(idCol), keysUdf(col(idCol), col(textCol)) as "keys")
   }
+}
 
-  /** Bucket index and sign of a feature under murmur3 hashing. */
-  private def bucketCols(cfg: EmbedConfig): (Column, Column) = {
-    val idx = pmod(hash(col("feature")), lit(cfg.dim))
-    val sgn = when(pmod(hash(concat(col("feature"), lit("#sign"))), lit(2)) === 0, lit(1.0)).otherwise(lit(-1.0))
-    (idx, sgn)
-  }
+/** One feature's entry in a [[WeightTable]]: its document frequency, its
+  * band-pass weight, and its hashed bucket and sign.
+  */
+final case class FeatureWeight(df: Long, weight: Double, bucket: Int, sign: Double)
 
-  private def assembleUdf(dim: Int) =
-    udf((pairs: Seq[org.apache.spark.sql.Row]) => {
-      val v = new Array[Double](dim)
-      pairs.foreach(r => v(r.getInt(0)) += r.getDouble(1))
-      VecOps.normalize(v)
-    })
+/** The driver-held weight table the encoder kernel reads, for `dim` buckets. */
+final case class WeightTable(dim: Int, features: Map[String, FeatureWeight])
 
-  /** Embed using a precomputed weight table (the common path: weights are
-    * computed once per run over the full corpus, embeddings possibly many
-    * times, e.g. during attribute selection). The texts are exploded once;
-    * see [[vectorsOf]].
-    *
-    * @return (idCol, vec: Array[Double] of length cfg.dim), one row per id
-    *         present in `df`; an id with no weighted feature (an empty text,
-    *         or features all absent from `weights`) gets the zero vector.
-    */
-  def embedWithWeights(
-      df: DataFrame,
-      idCol: String,
-      textCol: String,
-      weights: DataFrame,
-      cfg: EmbedConfig,
-  ): DataFrame =
-    vectorsOf(explodeFeaturesOuter(df, idCol, textCol), idCol, weights, cfg)
+object WeightTable {
 
-  /** The vector kernel of [[embedWithWeights]] over an
-    * [[explodeFeaturesOuter]] frame: left join onto the weights, one sum per
-    * (id, bucket), one `groupBy(id)`, assemble. This shape fixes the
-    * summation order the run's outputs depend on; each id of `feats` gets
-    * exactly one row.
-    */
-  private[repro] def vectorsOf(feats: DataFrame, idCol: String, weights: DataFrame, cfg: EmbedConfig): DataFrame = {
-    val (idx, sgn) = bucketCols(cfg)
-    feats
-      .join(weights, Seq("feature"), "left")
-      .select(col(idCol), idx as "idx", (sgn * col("unit") * col("weight")) as "contrib")
-      .groupBy(col(idCol), col("idx"))
-      .agg(sum("contrib") as "v")
-      .groupBy(col(idCol))
-      // a bucket with only null contributions is absent; no bucket at all is the zero vector
-      .agg(collect_list(when(col("v").isNotNull, struct(col("idx"), col("v")))) as "pairs")
-      .select(col(idCol), assembleUdf(cfg.dim)(col("pairs")) as "vec")
-  }
+  /** A table from (feature, df, weight) entries. */
+  def of(entries: Iterable[(String, Long, Double)], dim: Int): WeightTable =
+    WeightTable(dim, entries.iterator.map { case (f, df, w) =>
+      f -> FeatureWeight(df, w, Embedder.bucketOf(f, dim), Embedder.signOf(f))
+    }.toMap)
+
+  /** The band-pass table of document frequencies over `corpusSize` documents. */
+  def ofCounts(dfs: Iterable[(String, Long)], corpusSize: Long, dim: Int): WeightTable =
+    of(dfs.map { case (f, df) => (f, df, Embedder.bandPass(df, corpusSize)) }, dim)
 }

@@ -1,13 +1,13 @@
 package repro
 
 import scala.collection.mutable
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.ann.AnnConfig
 import repro.baselines.PairMatcher
 import repro.core.{MergeConfig, Merging}
-import repro.embed.VecOps
+import repro.embed.{EmbedConfig, Embedder, VecOps}
 
 /** Straightforward formulations that tests compare the program's batched
   * dataflows against.
@@ -164,5 +164,80 @@ object References {
       n = (n + 1) / 2
     }
     cur.map(x => (x._2, x._3, x._4, x._5)).sortBy(_._1)
+  }
+
+  // ---------------------------------------------------- dataflow encoder --
+  //
+  // The encoder as DataFrame operations: explode each text's features
+  // (`explode_outer`, so a feature-less id keeps one null-feature row),
+  // left-join a `featureWeights` frame, sum each (id, bucket) and assemble,
+  // or group each id's weighted features into its blocking keys. The
+  // reference for `Embedder.vector` and `Embedder.keys`; bucket and sign are
+  // Spark's `hash`, not the kernel's.
+
+  private val featuresUdf = udf((text: String) => Embedder.featuresOf(text))
+
+  private def explodeOuter(df: DataFrame, idCol: String, textCol: String): DataFrame =
+    df.select(col(idCol), explode_outer(featuresUdf(col(textCol))) as "fu")
+      .select(col(idCol), col("fu._1") as "feature", col("fu._2") as "unit")
+
+  /** Bucket index and sign of a `feature` column under Spark's murmur3 `hash`. */
+  def bucketCols(dim: Int): (Column, Column) = {
+    val idx = pmod(hash(col("feature")), lit(dim))
+    val sgn = when(pmod(hash(concat(col("feature"), lit("#sign"))), lit(2)) === 0, lit(1.0)).otherwise(lit(-1.0))
+    (idx, sgn)
+  }
+
+  private def assembleUdf(dim: Int) =
+    udf((pairs: Seq[Row]) => {
+      val v = new Array[Double](dim)
+      pairs.foreach(r => v(r.getInt(0)) += r.getDouble(1))
+      VecOps.normalize(v)
+    })
+
+  /** (idCol, vec), one row per id: the zero vector when no feature is weighted. */
+  def embedWithWeights(df: DataFrame, idCol: String, textCol: String, weights: DataFrame, cfg: EmbedConfig): DataFrame = {
+    val (idx, sgn) = bucketCols(cfg.dim)
+    explodeOuter(df, idCol, textCol)
+      .join(weights, Seq("feature"), "left")
+      .select(col(idCol), idx as "idx", (sgn * col("unit") * col("weight")) as "contrib")
+      .groupBy(col(idCol), col("idx"))
+      .agg(sum("contrib") as "v")
+      .groupBy(col(idCol))
+      // a bucket with only null contributions is absent; no bucket at all is the zero vector
+      .agg(collect_list(when(col("v").isNotNull, struct(col("idx"), col("v")))) as "pairs")
+      .select(col(idCol), assembleUdf(cfg.dim)(col("pairs")) as "vec")
+  }
+
+  /** (idCol, keys), one row per id: pair keys of the `topB` heaviest
+    * features plus each rare one's own key; a sentinel key unique to the id
+    * when no feature is weighted.
+    */
+  def blockingKeys(df: DataFrame, idCol: String, textCol: String, weights: DataFrame, topB: Int, rareDf: Long): DataFrame = {
+    val keysUdf = udf((id: Long, fws: Seq[Row]) => {
+      val top = fws
+        .map(r => (r.getString(0), r.getLong(1), r.getDouble(2)))
+        .distinctBy(_._1)
+        .sortBy { case (f, _, w) => (-w, f) }
+        .take(topB)
+      val combos = for {
+        i <- top.indices; j <- top.indices if i < j
+      } yield {
+        val (a, b) = (top(i)._1, top(j)._1)
+        val (lo, hi) = if (a < b) (a, b) else (b, a)
+        scala.util.hashing.MurmurHash3.stringHash(lo + "\u0000" + hi).toLong << 20
+      }
+      val rare = top.filter(_._2 <= rareDf)
+        .map(t => scala.util.hashing.MurmurHash3.stringHash(t._1).toLong << 20 | 1L)
+      val keys = (combos ++ rare).distinct
+      if (keys.nonEmpty) keys.toArray else Array(Long.MinValue | id)
+    })
+    explodeOuter(df, idCol, textCol)
+      .join(weights, Seq("feature"), "left")
+      .groupBy(col(idCol))
+      // null-feature and unweighted rows add nothing (collect_list skips nulls)
+      .agg(collect_list(when(col("weight").isNotNull,
+        struct(col("feature"), col("df"), (col("unit") * col("weight")) as "w"))) as "fws")
+      .select(col(idCol), keysUdf(col(idCol), col("fws")) as "keys")
   }
 }

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{References, SparkSpec}
 import repro.embed.{EmbedConfig, Embedder, VecOps}
 
 class AttributeSelectionSpec extends SparkSpec {
@@ -85,9 +85,10 @@ class AttributeSelectionSpec extends SparkSpec {
     assert(a.scores == b.scores && a.selected == b.selected)
   }
 
-  /** Algorithm 1 one attribute at a time, from public `Embedder` calls: the
-    * same sample, weight table, base vectors and cyclic shuffle as `select`,
-    * each variant embedded and averaged by its own dataflow.
+  /** Algorithm 1 one attribute at a time, on the dataflow reference
+    * encoder (`References.embedWithWeights`): the same sample, weight table,
+    * base vectors and cyclic shuffle as `select`, each variant embedded and
+    * averaged by its own dataflow.
     */
   private def perAttributeScores(df: DataFrame, attrs: Seq[String], ratio: Double, seed: Long): Map[String, Double] = {
     val cfg = EmbedConfig()
@@ -95,12 +96,12 @@ class AttributeSelectionSpec extends SparkSpec {
     val n = sampled.count()
     val ser = Embedder.serialize(sampled, attrs)
     val weights = Embedder.featureWeights(Embedder.explodeFeatures(ser, "eid", "text", cfg), "eid", n)
-    val base = Embedder.embedWithWeights(ser, "eid", "text", weights, cfg).withColumnRenamed("vec", "vec0")
+    val base = References.embedWithWeights(ser, "eid", "text", weights, cfg).withColumnRenamed("vec", "vec0")
     val withRn = sampled.withColumn("rn", row_number().over(Window.orderBy(hash(col("eid"), lit(seed.toInt)))))
     attrs.map { attr =>
       val donor = withRn.select(((col("rn") % n) + 1) as "rn", col(attr) as "__shuffled")
       val shuffled = withRn.drop(attr).join(donor, Seq("rn")).withColumnRenamed("__shuffled", attr)
-      val emb = Embedder.embedWithWeights(Embedder.serialize(shuffled, attrs), "eid", "text", weights, cfg)
+      val emb = References.embedWithWeights(Embedder.serialize(shuffled, attrs), "eid", "text", weights, cfg)
       attr -> base.join(emb, Seq("eid")).select(avg(VecOps.cosineDistCol(col("vec0"), col("vec")))).first().getDouble(0)
     }.toMap
   }

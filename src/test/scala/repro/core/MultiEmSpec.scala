@@ -86,6 +86,27 @@ class MultiEmSpec extends SparkSpec {
     assert(result.tuples.count() <= result.tuplesWithoutPruning.count())
   }
 
+  test("tuples and merged vector bits do not depend on the shuffle partition count") {
+    val music = EmDataGen.music(spark, 75L)
+    val keyed = cfg().copy(merge = MergeConfig(k = 1, m = 0.45, ann = AnnConfig(exact = false)))
+    for ((d, c, mode) <- Seq((ds, cfg(), "exact"), (music, keyed, "keyed"))) {
+      val runs = for (partitions <- Seq(1, 16, 64)) yield
+        TestUtil.withConf(spark, "spark.sql.shuffle.partitions" -> partitions.toString,
+          "spark.sql.adaptive.enabled" -> "false") {
+          val r = MultiEm.run(d.tables, d.attrs, c)
+          val merged = r.merged.select("id", "vec").collect()
+            .map(row => row.getLong(0) -> row.getSeq[Double](1).map(java.lang.Double.doubleToRawLongBits)).toMap
+          partitions -> (TestUtil.tupleSet(r.tuples), merged)
+        }
+      val (_, (tuples1, merged1)) = runs.head
+      assert(tuples1.nonEmpty && merged1.nonEmpty, s"${d.name} $mode")
+      for ((partitions, (tuples, merged)) <- runs.tail) {
+        assert(tuples == tuples1, s"${d.name} $mode: tuples at $partitions partitions differ from 1")
+        assert(merged == merged1, s"${d.name} $mode: merged vectors at $partitions partitions differ from 1")
+      }
+    }
+  }
+
   test("duplicate eids across tables fail loudly") {
     import spark.implicits._
     val t0 = Seq((1L, "alpha"), (2L, "beta")).toDF("eid", "name")

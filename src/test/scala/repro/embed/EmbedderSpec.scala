@@ -1,7 +1,7 @@
 package repro.embed
 
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, TestUtil}
+import repro.{References, SparkSpec, TestUtil}
 import repro.ann.AnnConfig
 import repro.core.MultiEm
 import repro.data.EmDataGen
@@ -281,6 +281,61 @@ class EmbedderSpec extends SparkSpec {
         assert(got(blankId)._1.forall(_ == 0.0))
         assert(got(blankId)._2 == (if (ann.exact) Seq.empty[Long] else Seq(Long.MinValue | blankId)))
       }
+    }
+  }
+
+  /** Geo ×0.05 and Music-20 (60 clusters), each plus one row whose
+    * attributes yield no feature: (dataset name, attrs, rows, the blank id).
+    */
+  private lazy val corpora = Seq(EmDataGen.geo(spark, scale = 0.05), EmDataGen.music(spark, 60L)).map { ds =>
+    val data = ds.df.select(("eid" +: ds.attrs).map(col): _*)
+    val blankId = data.agg(max("eid")).head().getLong(0) + 1
+    val blank = data.limit(1).select(
+      (lit(blankId) as "eid") +: ds.attrs.map(a => lit(null).cast(data.schema(a).dataType) as a): _*)
+    (ds.name, ds.attrs, data.unionByName(blank).localCheckpoint(), blankId)
+  }
+
+  test("representWithKeys equals the dataflow reference encoder") {
+    for ((name, attrs, union, blankId) <- corpora) {
+      val ser = Embedder.serialize(union, attrs)
+      val weights = Embedder.featureWeights(
+        Embedder.explodeFeatures(ser, "eid", "text", cfg), "eid", union.count()).localCheckpoint()
+      val vecs = References.embedWithWeights(ser, "eid", "text", weights, cfg)
+        .collect().map(r => r.getLong(0) -> r.getSeq[Double](1)).toMap
+      for (ann <- Seq(AnnConfig(exact = true), AnnConfig(exact = false))) {
+        val where = s"$name exact=${ann.exact}"
+        val got = MultiEm.representWithKeys(union, attrs, cfg, ann)
+          .collect().map(r => r.getLong(0) -> (r.getSeq[Double](1), r.getSeq[Long](2))).toMap
+        val keys =
+          if (ann.exact) vecs.map { case (id, _) => id -> Seq.empty[Long] }
+          else References.blockingKeys(ser, "eid", "text", weights, ann.topB, ann.rareDf)
+            .collect().map(r => r.getLong(0) -> r.getSeq[Long](1)).toMap
+        assert(got.keySet == vecs.keySet && got.keySet == keys.keySet, where)
+        got.foreach { case (id, (v, k)) =>
+          assert(v.length == cfg.dim, s"$where: eid $id")
+          v.zip(vecs(id)).foreach { case (a, b) => assert(math.abs(a - b) <= 1e-12, s"$where: eid $id: $a vs $b") }
+          assert(k == keys(id), s"$where: eid $id keys differ")
+        }
+        assert(got(blankId)._1.forall(_ == 0.0), where)
+        assert(got(blankId)._2 == (if (ann.exact) Seq.empty[Long] else Seq(Long.MinValue | blankId)), where)
+      }
+    }
+  }
+
+  test("the kernel's bucket and sign equal Spark's hash expressions") {
+    import spark.implicits._
+    val (idx, sgn) = References.bucketCols(cfg.dim)
+    val extra = Seq("café crème", "東京 タワー", "straße ñandú").toDF("text")
+      .select(explode(udf((t: String) => Embedder.featuresOf(t).map(_._1)).apply(col("text"))) as "feature")
+    val features = corpora.map { case (_, attrs, union, _) =>
+      Embedder.explodeFeatures(Embedder.serialize(union, attrs), "eid", "text", cfg).select("feature")
+    }.reduce(_ union _).union(extra).distinct()
+    val rows = features.select(col("feature"), idx, sgn).collect()
+    assert(rows.length > 1000 && rows.exists(_.getString(0) == "w:東京") && rows.exists(_.getString(0) == "t:caf"))
+    rows.foreach { r =>
+      val f = r.getString(0)
+      assert(Embedder.bucketOf(f, cfg.dim) == r.getInt(1), f)
+      assert(Embedder.signOf(f) == r.getDouble(2), f)
     }
   }
 
